@@ -10,10 +10,13 @@ caller's initial guess.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+log = logging.getLogger("nbflow.krylov")
 
 # Re-orthogonalize when modified Gram-Schmidt removes most of the vector.
 _REORTH_THRESHOLD = 0.25
@@ -291,71 +294,90 @@ def jacobi_build(operator) -> JacobiPreconditioner:
 
 
 class ILU0Preconditioner:
-    """Zero-fill incomplete LU factorization on the matrix sparsity pattern."""
+    """Zero-fill incomplete LU factorization on the matrix sparsity pattern.
 
-    def __init__(self, matrix, shift_reported=None):
+    The elimination runs right-looking (KIJ order, Saad, *Iterative
+    Methods for Sparse Linear Systems*, 2nd ed., section 10.3): for each
+    pivot ``k`` the strictly lower entries of column ``k`` are divided by
+    the pivot and every pattern entry ``(i, j)`` with ``i, j > k`` loses
+    ``l_ik * u_kj``.  Each entry receives the same products in the same
+    order of ``k`` as the row-by-row (IKJ) loop, so ``lower`` and
+    ``upper`` are bitwise equal to its factors.  A zero pivot is replaced
+    by ``1e-12 * max|a|``, sets ``shifted`` and is logged as a warning.
+
+    ``lower`` (unit diagonal) and ``upper`` are CSR.  Setup also prepares
+    them once in the form ``spsolve_triangular`` consumes: ``L`` as CSC
+    and ``U`` as CSC scaled to a unit diagonal, so an apply is two unit
+    triangular solves and one diagonal scale.  The prepared arrays are
+    read-only because every apply shares them.
+    """
+
+    def __init__(self, matrix):
         A = sp.csr_matrix(matrix, copy=True)
-        A.sort_indices()
+        A.sum_duplicates()
         n = A.shape[0]
         indptr, indices, data = A.indptr, A.indices, A.data
-        diag_pos = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            row = indices[indptr[i]:indptr[i + 1]]
-            hit = np.searchsorted(row, i)
-            if hit < len(row) and row[hit] == i:
-                diag_pos[i] = indptr[i] + hit
-        if np.any(diag_pos < 0):
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        # Row-major keys of the pattern, with a sentinel above every key.
+        key = np.append(rows * n + indices, n * n)
+        diag_key = np.arange(n, dtype=np.int64) * (n + 1)
+        diag_pos = np.searchsorted(key, diag_key)
+        if np.any(key[diag_pos] != diag_key):
             raise ValueError("ILU(0) requires an explicit diagonal in the pattern")
+        # Column-major view of the pattern: positions into ``data``.
+        col_pos = np.argsort(indices, kind="stable")
+        col_rows = rows[col_pos]
+        col_end = np.cumsum(np.bincount(indices, minlength=n))
+        col_diag = np.empty(len(data), dtype=np.int64)
+        col_diag[col_pos] = np.arange(len(data))
+        col_diag = col_diag[diag_pos]
         self.shifted = False
         scale = np.abs(data).max() if len(data) else 1.0
-        for i in range(n):
-            start, end = indptr[i], indptr[i + 1]
-            row_cols = indices[start:end]
-            for pos in range(start, end):
-                k = indices[pos]
-                if k >= i:
-                    break
-                piv = data[diag_pos[k]]
-                if piv == 0.0:
-                    piv = 1e-12 * scale  # fallback shift, reported below
-                    data[diag_pos[k]] = piv
-                    self.shifted = True
-                lik = data[pos] / piv
-                data[pos] = lik
-                # Update row i against row k on the shared pattern, j > k.
-                ks, ke = indptr[k], indptr[k + 1]
-                k_cols = indices[ks:ke]
-                upper = k_cols > k
-                if not np.any(upper):
-                    continue
-                uc = k_cols[upper]
-                uv = data[ks:ke][upper]
-                match = np.searchsorted(row_cols, uc)
-                valid = (match < len(row_cols))
-                match_clip = np.minimum(match, len(row_cols) - 1)
-                valid &= row_cols[match_clip] == uc
-                data[start + match_clip[valid]] -= lik * uv[valid]
-            if data[diag_pos[i]] == 0.0:
-                data[diag_pos[i]] = 1e-12 * scale
+        for k in range(n):
+            d = diag_pos[k]
+            if data[d] == 0.0:
+                data[d] = 1e-12 * scale
                 self.shifted = True
-        if self.shifted and shift_reported is not None:
-            shift_reported("ILU(0) applied a diagonal shift to avoid a zero pivot")
+            below = slice(col_diag[k] + 1, col_end[k])
+            lo = col_pos[below]
+            if not len(lo):
+                continue
+            data[lo] /= data[d]
+            up = slice(d + 1, indptr[k + 1])
+            if up.start == up.stop:
+                continue
+            target = (col_rows[below, None] * n + indices[up]).ravel()
+            pos = np.searchsorted(key, target)
+            hit = key[pos] == target
+            data[pos[hit]] -= np.multiply.outer(data[lo], data[up]).ravel()[hit]
+        if self.shifted:
+            log.warning("ILU(0) applied a diagonal shift to avoid a zero pivot")
         factored = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=A.shape)
         self.lower = sp.tril(factored, k=-1).tocsr() + sp.eye(n, format="csr")
         self.upper = sp.triu(factored, k=0).tocsr()
+        self._inv_diag = 1.0 / data[diag_pos]
+        self._lower_csc = self.lower.tocsc()
+        self._unit_upper_csc = self.upper.tocsc()
+        self._unit_upper_csc.data *= np.repeat(self._inv_diag,
+                                               np.diff(self._unit_upper_csc.indptr))
+        for m in (self._lower_csc, self._unit_upper_csc):
+            for arr in (m.data, m.indices, m.indptr):
+                arr.flags.writeable = False
+        self._inv_diag.flags.writeable = False
 
     def apply(self, x):
         from scipy.sparse.linalg import spsolve_triangular
 
-        y = spsolve_triangular(self.lower, x, lower=True, unit_diagonal=True)
-        return spsolve_triangular(self.upper, y, lower=False)
+        y = spsolve_triangular(self._lower_csc, x, lower=True, unit_diagonal=True)
+        w = spsolve_triangular(self._unit_upper_csc, y, lower=False, unit_diagonal=True)
+        return self._inv_diag * w
 
     __call__ = apply
 
 
-def ilu0_build(matrix, shift_reported=None) -> ILU0Preconditioner:
+def ilu0_build(matrix) -> ILU0Preconditioner:
     """Zero-fill ILU preconditioner over the sparsity pattern of ``matrix``."""
-    return ILU0Preconditioner(matrix, shift_reported=shift_reported)
+    return ILU0Preconditioner(matrix)
 
 
 def save_matrix(path, matrix) -> None:

@@ -125,10 +125,10 @@ class BipnSchur:
 
     __call__ = apply
 
-    def preconditioner(self, shift_reported=None):
+    def preconditioner(self):
         """Approximate inverse: ILU(0) of the sparse base corrected by the
         Woodbury identity for the rank-one terms."""
-        ilu = ilu0_build(self.base, shift_reported=shift_reported)
+        ilu = ilu0_build(self.base)
         if not self.coeffs:
             return ilu
         mu = np.column_stack([ilu.apply(u) for u in self.u_vectors])
@@ -179,8 +179,9 @@ class SchurContext:
         self.tangent = tangent
         self.settings = settings
         self.pc_a = pc_a if pc_a is not None else _build_pc_a(tangent, settings.pc_a)
-        self.s_hat = schur_sparse_approx(tangent)
-        self.pc_s = _build_pc_s(tangent, self.s_hat, settings.pc_s)
+        # Only the ilu0 and jacobi Schur preconditioners read the sparse approximation.
+        s_hat = schur_sparse_approx(tangent) if settings.pc_s in ("ilu0", "jacobi") else None
+        self.pc_s = _build_pc_s(tangent, s_hat, settings.pc_s)
         self.stats = stats if stats is not None else SubSolveStats()
 
     def apply(self, x_p):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,6 +25,74 @@ def poisson_2d(n):
     return sp.diags(
         [main, side, side, updown, updown], [0, -1, 1, -n, n], format="csr"
     )
+
+
+def _ilu0_reference(matrix):
+    """Row-by-row (IKJ) ILU(0); returns (lower, upper, shifted)."""
+    A = sp.csr_matrix(matrix, copy=True)
+    A.sort_indices()
+    n = A.shape[0]
+    indptr, indices, data = A.indptr, A.indices, A.data
+    diag_pos = np.full(n, -1, dtype=np.int64)
+    for i in range(n):
+        row = indices[indptr[i]:indptr[i + 1]]
+        hit = np.searchsorted(row, i)
+        if hit < len(row) and row[hit] == i:
+            diag_pos[i] = indptr[i] + hit
+    assert np.all(diag_pos >= 0)
+    shifted = False
+    scale = np.abs(data).max() if len(data) else 1.0
+    for i in range(n):
+        start, end = indptr[i], indptr[i + 1]
+        row_cols = indices[start:end]
+        for pos in range(start, end):
+            k = indices[pos]
+            if k >= i:
+                break
+            piv = data[diag_pos[k]]
+            if piv == 0.0:
+                piv = 1e-12 * scale
+                data[diag_pos[k]] = piv
+                shifted = True
+            lik = data[pos] / piv
+            data[pos] = lik
+            ks, ke = indptr[k], indptr[k + 1]
+            k_cols = indices[ks:ke]
+            upper = k_cols > k
+            if not np.any(upper):
+                continue
+            uc = k_cols[upper]
+            uv = data[ks:ke][upper]
+            match = np.searchsorted(row_cols, uc)
+            valid = (match < len(row_cols))
+            match_clip = np.minimum(match, len(row_cols) - 1)
+            valid &= row_cols[match_clip] == uc
+            data[start + match_clip[valid]] -= lik * uv[valid]
+        if data[diag_pos[i]] == 0.0:
+            data[diag_pos[i]] = 1e-12 * scale
+            shifted = True
+    factored = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=A.shape)
+    lower = sp.tril(factored, k=-1).tocsr() + sp.eye(n, format="csr")
+    upper = sp.triu(factored, k=0).tocsr()
+    return lower, upper, shifted
+
+
+def assert_matches_ilu0_reference(matrix):
+    """Factors bitwise equal to the IKJ reference, apply equal to 1e-14."""
+    from scipy.sparse.linalg import spsolve_triangular
+
+    lower, upper, shifted = _ilu0_reference(matrix)
+    pc = ilu0_build(matrix)
+    assert pc.shifted == shifted
+    for got, want in ((pc.lower, lower), (pc.upper, upper)):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    b = np.random.default_rng(0).normal(size=matrix.shape[0])
+    y = spsolve_triangular(lower, b, lower=True, unit_diagonal=True)
+    want = spsolve_triangular(upper, y, lower=False)
+    got = pc.apply(b)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert np.array_equal(pc.apply(b), got)  # prepared factors are not modified
 
 
 class TestGmres:
@@ -248,17 +318,36 @@ class TestILU0:
         assert with_ilu.converged
         assert with_ilu.iterations < with_jacobi.iterations
 
-    def test_zero_pivot_shift_reported(self):
+    def test_zero_pivot_shift_reported(self, caplog):
         # Build with an explicit zero diagonal entry in the pattern.
         a = sp.csr_matrix(
             (np.array([0.0, 1.0, 1.0, 1.0]),
              (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))),
             shape=(2, 2),
         )
-        messages = []
-        pc = ilu0_build(a, shift_reported=messages.append)
+        with caplog.at_level(logging.WARNING, logger="nbflow.krylov"):
+            pc = ilu0_build(a)
         assert pc.shifted
-        assert messages
+        assert "ILU(0) applied a diagonal shift to avoid a zero pivot" in caplog.messages
+
+    def test_factors_match_reference_poisson(self):
+        assert_matches_ilu0_reference(poisson_2d(12))
+
+    def test_factors_match_reference_random_nonsymmetric(self):
+        rng = np.random.default_rng(3)
+        off = sp.random(200, 200, density=0.04, random_state=4, format="csr")
+        assert_matches_ilu0_reference((off + sp.diags(rng.uniform(1.0, 2.0, 200))).tocsr())
+
+    @pytest.mark.parametrize("dense", [
+        [[0.0, 1.0], [1.0, 1.0]],  # zero pivot in the input
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]],  # zero after elimination
+    ])
+    def test_factors_match_reference_zero_pivot_shift(self, dense):
+        dense = np.array(dense)
+        rows, cols = np.nonzero((dense != 0.0) | np.eye(len(dense), dtype=bool))
+        a = sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
+        assert ilu0_build(a).shifted
+        assert_matches_ilu0_reference(a)
 
     def test_missing_diagonal_rejected(self):
         a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from nbflow import precond
 from nbflow.assembly import BlockTangent
 from nbflow.krylov import SolverSettings, fgmres
 from nbflow.precond import (
@@ -21,6 +24,7 @@ from nbflow.precond import (
 )
 
 from conftest import small_tube_system, tube_tangent
+from test_krylov import assert_matches_ilu0_reference
 
 TIGHT = NestedSettings(
     a_solve=SolverSettings(rtol=1e-12),
@@ -132,6 +136,22 @@ class TestSchurSparseApprox:
         s_hat = schur_sparse_approx(tangent).toarray()
         rel = np.linalg.norm(s_hat - schur, "fro") / np.linalg.norm(schur, "fro")
         assert rel == pytest.approx(0.0012827067745076039, rel=1e-6)
+
+
+@pytest.mark.parametrize("block", ["schur_sparse_approx", "F"])
+def test_ilu0_matches_reference_on_fixture(tube_blocks, block):
+    tangent, *_ = tube_blocks
+    assert_matches_ilu0_reference(tangent.F if block == "F" else schur_sparse_approx(tangent))
+
+
+@pytest.mark.parametrize("pc_s", ["bipn", "none"])
+def test_schur_context_skips_unused_sparse_approx(monkeypatch, pc_s):
+    def unused(tangent):
+        raise AssertionError("sparse Schur approximation built but not used")
+
+    monkeypatch.setattr(precond, "schur_sparse_approx", unused)
+    ctx = SchurContext(_synthetic_tangent(), replace(TIGHT, pc_s=pc_s))
+    assert (ctx.pc_s is None) == (pc_s == "none")
 
 
 class TestSCR:
