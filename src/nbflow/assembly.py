@@ -21,6 +21,7 @@ constrained velocity rows and columns are eliminated from every block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -176,11 +177,6 @@ class BlockTangent:
         return np.block([[top, self.B.toarray()], [self.C.toarray(), self.D.toarray()]])
 
 
-def apply_block(tangent: BlockTangent, x) -> np.ndarray:
-    """Matrix action of the block tangent on a stacked vector."""
-    return tangent.apply(x)
-
-
 class NavierStokesAssembler:
     """Evaluates residuals and tangents on a fixed mesh.
 
@@ -222,16 +218,7 @@ class NavierStokesAssembler:
         self.n_nodes = n
         conn = self.conn
         # Flattened velocity dof indices per element, shape (E, 12).
-        vdofs = (3 * conn[:, :, None] + np.arange(3)).reshape(len(conn), 12)
-        self._vdofs = vdofs
-        self._rows_vv = np.repeat(vdofs, 12, axis=1).ravel()
-        self._cols_vv = np.tile(vdofs, (1, 12)).ravel()
-        self._rows_vp = np.repeat(vdofs, 4, axis=1).ravel()
-        self._cols_vp = np.tile(conn, (1, 12)).ravel()
-        self._rows_pv = np.repeat(conn, 12, axis=1).ravel()
-        self._cols_pv = np.tile(vdofs, (1, 4)).ravel()
-        self._rows_pp = np.repeat(conn, 4, axis=1).ravel()
-        self._cols_pp = np.tile(conn, (1, 4)).ravel()
+        self._vdofs = (3 * conn[:, :, None] + np.arange(3)).reshape(len(conn), 12)
 
         self._outlet_weights = {
             name: surface_normal_weights(mesh, name).ravel() for name in self.outlets
@@ -373,6 +360,30 @@ class NavierStokesAssembler:
 
     # -- tangent ------------------------------------------------------
 
+    @cached_property
+    def _scatter(self):
+        """Sparse patterns of the free-dof blocks F, B, C and D.
+
+        Built on the first tangent, so an assembler that only evaluates
+        residuals never holds them.  F has two segments: the element
+        entries, then the backflow entries of every outlet triangle.
+        """
+        dm, conn, vdofs = self.dofmap, self.conn, self._vdofs
+        free_v = np.full(3 * self.n_nodes, -1, dtype=np.int64)
+        free_v[dm.free_v] = np.arange(dm.n_free_v)
+        free_p = np.full(self.n_nodes, -1, dtype=np.int64)
+        free_p[dm.free_p] = np.arange(dm.n_free_p)
+        tdofs = [t for _, t in self._bf_groups]
+        backflow = np.concatenate(tdofs) if tdofs else np.zeros((0, 9), dtype=np.int64)
+        return {
+            "F": _BlockScatter(
+                [_element_pairs(vdofs, vdofs), _element_pairs(backflow, backflow)], free_v, free_v
+            ),
+            "B": _BlockScatter([_element_pairs(vdofs, conn)], free_v, free_p),
+            "C": _BlockScatter([_element_pairs(conn, vdofs)], free_p, free_v),
+            "D": _BlockScatter([_element_pairs(conn, conn)], free_p, free_p),
+        }
+
     def tangent(self, v, vdot, p, outlet_pressures, m_coeffs, dt, alpha,
                 time=0.0) -> BlockTangent:
         """Assemble the consistent block tangent.
@@ -380,107 +391,112 @@ class NavierStokesAssembler:
         ``m_coeffs`` maps outlet names to the flow derivative of the
         reduced model; ``alpha`` provides ``alpha_m``, ``alpha_f`` and
         ``gamma``.  Blocks are restricted to the free dofs.
+
+        The terms of F are grouped by index structure: one batched matmul
+        for the ``dtau_M`` and ``dtau_C`` terms, one outer product for the
+        ``N_a,j (x) Y_bi`` terms, one coefficient each for ``gradv_ij``
+        and ``(gradv gradv)_ij``, and one scalar kernel for every
+        ``delta_ij`` term.  F drops the entries that sum to an exact
+        zero; B, C and D keep their full element pattern.
         """
-        lam = TET4_BARY
+        lam, lamT = TET4_BARY, TET4_BARY.T
         s = self._volume_state(v, vdot, p, dt, time)
         w, dN, rho, mu = self.w, self.dN, self.rho, self.mu
-        tau_m, tau_c, rM = s["tau_m"], s["tau_c"], s["rM"]
-        gradv, divv = s["gradv"], s["divv"]
+        tau, rM, gradv = s["tau_m"], s["rM"], s["gradv"]
         E = len(self.conn)
-        eye = np.eye(3)
-
-        tdn = np.einsum("eqj,eaj->eqa", s["u"], dN)  # u . dN_a at q
-        rdn = np.einsum("eqj,eaj->eqa", rM, dN)  # rM . dN_a at q
-        gr = np.einsum("eij,eqj->eqi", gradv, rM)  # gradv rM
-        gdn = np.einsum("eik,ebk->ebi", gradv, dN)  # gradv dN_b
-        gtdn = np.einsum("ekj,eak->eaj", gradv, dN)  # gradv^T dN_a
-        gradv2 = np.einsum("eik,ekj->eij", gradv, gradv)
-        dtm, dtc = s["dtau_m"], s["dtau_c"]
-
-        nn = np.einsum("e,qa,qb->eab", w, lam, lam)
-        nn_tau = np.einsum("e,qa,qb,eq->eab", w, lam, lam, tau_m)
-        dndn = np.einsum("eak,ebk->eab", dN, dN)
-        int_n = np.einsum("e,qa->ea", w, lam)
-        l_tau = np.einsum("e,qa,eq->ea", w, lam, tau_m)
-
-        # Momentum derivative w.r.t. acceleration.
-        mv = rho * np.einsum("eab,ij->eaibj", nn, eye)
-        mv += rho**2 * np.einsum("e,eq,qb,eqa,ij->eaibj", w, tau_m, lam, tdn, eye)
-        mv -= rho**2 * np.einsum("eab,eij->eaibj", nn_tau, gradv)
-        mv -= rho**2 * np.einsum("e,eq,qb,eqa,ij->eaibj", w, tau_m**2, lam, rdn, eye)
-        mv -= rho**2 * np.einsum("e,eq,qb,eqi,eaj->eaibj", w, tau_m**2, lam, rM, dN)
-
-        # Momentum derivative w.r.t. velocity.
-        kv = rho * np.einsum("e,qa,eqb,ij->eaibj", w, lam, tdn, eye)
-        kv += rho * np.einsum("eab,eij->eaibj", nn, gradv)
-        kv += mu * self.vol[:, None, None, None, None] * (
-            np.einsum("eab,ij->eaibj", dndn, eye)
-            + np.einsum("ebi,eaj->eaibj", dN, dN)
-        )
-        # Cross term 1.
-        kv += rho * np.einsum("e,eqj,qb,eqi,eqa->eaibj", w, dtm, lam, rM, tdn)
-        kv += rho**2 * np.einsum("e,eq,eqb,eqa,ij->eaibj", w, tau_m, tdn, tdn, eye)
-        kv += rho**2 * np.einsum("e,eq,qb,eij,eqa->eaibj", w, tau_m, lam, gradv, tdn)
-        kv += rho * np.einsum("e,eq,eqi,qb,eaj->eaibj", w, tau_m, rM, lam, dN)
-        # Cross term 2.
-        kv -= rho * np.einsum("e,qa,eqj,qb,eqi->eaibj", w, lam, dtm, lam, gr)
-        kv -= rho * np.einsum("e,qa,eq,eqb,ij->eaibj", w, lam, tau_m, rdn, eye)
-        kv -= rho**2 * np.einsum("e,qa,eq,eij,eqb->eaibj", w, lam, tau_m, gradv, tdn)
-        kv -= rho**2 * np.einsum("e,qa,eq,qb,eij->eaibj", w, lam, tau_m, lam, gradv2)
-        # Subgrid stress term.
-        kv -= 2.0 * rho * np.einsum("e,eq,eqj,qb,eqi,eqa->eaibj", w, tau_m, dtm, lam, rM, rdn)
-        kv -= rho**2 * np.einsum("e,eq,eqb,eqa,ij->eaibj", w, tau_m**2, tdn, rdn, eye)
-        kv -= rho**2 * np.einsum("e,eq,qb,eij,eqa->eaibj", w, tau_m**2, lam, gradv, rdn)
-        kv -= rho**2 * np.einsum("e,eq,eqi,eqb,eaj->eaibj", w, tau_m**2, rM, tdn, dN)
-        kv -= rho**2 * np.einsum("e,eq,eqi,qb,eaj->eaibj", w, tau_m**2, rM, lam, gtdn)
-        # Grad-div term.
-        kv += np.einsum("e,eqj,qb,e,eai->eaibj", w, dtc, lam, divv, dN)
-        kv += np.einsum("e,eq,ebj,eai->eaibj", w, tau_c, dN, dN)
-
-        # Momentum derivative w.r.t. pressure.
-        gp = -np.einsum("eai,eb->eaib", dN, int_n)
-        gp += rho * np.einsum("e,eq,ebi,eqa->eaib", w, tau_m, dN, tdn)
-        gp -= np.einsum("ea,ebi->eaib", l_tau, gdn) * rho
-        gp -= rho * np.einsum("e,eq,ebi,eqa->eaib", w, tau_m**2, dN, rdn)
-        gp -= rho * np.einsum("e,eq,eqi,eab->eaib", w, tau_m**2, rM, dndn)
-
-        # Continuity derivatives.
-        mp = rho * np.einsum("e,eq,qb,eaj->eabj", w, tau_m, lam, dN)
-        kp = np.einsum("ea,ebj->eabj", int_n, dN)
-        kp += np.einsum("e,eqj,qb,eqa->eabj", w, dtm, lam, rdn)
-        kp += rho * np.einsum("e,eq,eqb,eaj->eabj", w, tau_m, tdn, dN)
-        kp += rho * np.einsum("e,eq,qb,eaj->eabj", w, tau_m, lam, gtdn)
-        dp = np.einsum("e,eq,eab->eab", w, tau_m, dndn)
-
         am, afgdt = alpha.alpha_m, alpha.alpha_f * alpha.gamma * dt
-        f_el = (am * mv + afgdt * kv).reshape(E, -1)
-        b_el = (afgdt * gp).reshape(E, -1)
-        c_el = (am * mp + afgdt * kp).reshape(E, -1)
-        d_el = (afgdt * dp).reshape(E, -1)
 
-        n3 = 3 * self.n_nodes
-        f_full = sp.coo_matrix(
-            (f_el.ravel(), (self._rows_vv, self._cols_vv)), shape=(n3, n3)
-        ).tocsr()
-        f_full += self._backflow_tangent(v, afgdt)
-        b_full = sp.coo_matrix(
-            (b_el.ravel(), (self._rows_vp, self._cols_vp)), shape=(n3, self.n_nodes)
-        ).tocsr()
-        c_full = sp.coo_matrix(
-            (c_el.ravel(), (self._rows_pv, self._cols_pv)), shape=(self.n_nodes, n3)
-        ).tocsr()
-        d_full = sp.coo_matrix(
-            (d_el.ravel(), (self._rows_pp, self._cols_pp)),
-            shape=(self.n_nodes, self.n_nodes),
-        ).tocsr()
+        # Quadrature-point factors, (E, q, a) unless noted.
+        wq = w[:, None, None]
+        dNt = dN.transpose(0, 2, 1)
+        tdn = s["u"] @ dNt  # u . dN_a
+        rdn = rM @ dNt  # rM . dN_a
+        gr = rM @ gradv.transpose(0, 2, 1)  # gradv rM, (E, q, i)
+        gtdn = dN @ gradv  # gradv^T dN_a, (E, a, j)
+        dndn = dN @ dNt  # (E, a, b)
+        wt = w[:, None] * tau  # w tau_M, (E, q)
+        wt2 = wt * tau
+        k = wq * tdn - wt[..., None] * rdn  # w (u - tau_M rM) . dN_a
+        tk = tau[..., None] * k
+        g = am * lam + afgdt * tdn  # delta_ij part of d(rM)/d(x_b), over rho
+        nn = wq * (lamT @ lam)
 
-        fv, fp = self.dofmap.free_v, self.dofmap.free_p
+        # F: momentum rows, velocity columns, (E, a, i, b, j).  The three
+        # dtau_M terms (cross 1, cross 2, subgrid stress) against
+        # dtau_M_qj lam_qb, and the dtau_C grad-div term N_a,i (x) Z_bj.
+        x_dt = (tdn - 2.0 * tau[..., None] * rdn).transpose(0, 2, 1)[:, :, None, :]
+        x_dt = x_dt * rM.transpose(0, 2, 1)[:, None]
+        x_dt -= lamT[:, None, :] * gr.transpose(0, 2, 1)[:, None]
+        x_dt *= (afgdt * rho) * w[:, None, None, None]
+        y_dt = (lam[:, :, None] * s["dtau_m"][:, :, None, :]).reshape(E, 4, 12)
+        z = (afgdt * w * s["divv"])[:, None, None] * (lamT @ s["dtau_c"])
+        f_el = np.concatenate([x_dt.reshape(E, 12, 4), dN.reshape(E, 12, 1)], axis=2) \
+            @ np.concatenate([y_dt, z.reshape(E, 1, 12)], axis=1)
+        f_el = f_el.reshape(E, 4, 3, 4, 3)
+        # N_a,j (x) Y1_bi and (gradv^T dN_a)_j (x) Y2_bi.
+        y1 = afgdt * rho * wt[..., None] * lam - rho**2 * wt2[..., None] * g
+        y1 = y1.transpose(0, 2, 1) @ rM
+        y2 = (-afgdt * rho**2) * (wt2[..., None] * lam).transpose(0, 2, 1) @ rM
+        outer = np.stack([dN, gtdn], axis=3).reshape(E, 12, 2) \
+            @ np.stack([y1, y2], axis=1).reshape(E, 2, 12)
+        f_el += outer.reshape(E, 4, 3, 4, 3).transpose(0, 1, 4, 3, 2)
+        # gradv_ij and (gradv gradv)_ij.
+        t_g = (afgdt * rho**2) * (tk.transpose(0, 2, 1) @ lam) + afgdt * rho * nn
+        t_g -= rho**2 * (lamT @ (wt[..., None] * g))
+        t_g2 = (-afgdt * rho**2) * (lamT @ (wt[..., None] * lam))
+        coef = np.stack([t_g, t_g2], axis=3).reshape(E, 16, 2)
+        kron = np.stack([gradv, gradv @ gradv], axis=1).reshape(E, 2, 9)
+        f_el += (coef @ kron).reshape(E, 4, 4, 3, 3).transpose(0, 1, 3, 2, 4)
+        # delta_ij.
+        scalar = rho**2 * (tk.transpose(0, 2, 1) @ g) + (afgdt * rho) * (lamT @ k)
+        scalar += am * rho * nn + (afgdt * mu * self.vol)[:, None, None] * dndn
+        for i in range(3):
+            f_el[:, :, i, :, i] += scalar
+        # Viscous N_b,i N_a,j and grad-div tau_C N_a,i N_b,j.  In a fluid
+        # at rest these are the only terms off the i == j diagonal, and
+        # their sums over elements may cancel.  They are rounded as in
+        # the term-by-term reference assembly (``_tangent_reference`` in
+        # the tests), and _BlockScatter sums in its order, so the entries
+        # that cancel to an exact zero, and leave the patterns of F and
+        # of its ILU(0) factors, do not depend on this grouping.
+        wtc_dn = (w[:, None] * s["tau_c"])[:, :, None, None] * dN[:, None]
+        exact = dN[:, :, :, None, None] * wtc_dn[:, 0, None, None]
+        term = np.empty_like(exact)
+        for q in range(1, len(lam)):
+            exact += np.multiply(dN[:, :, :, None, None], wtc_dn[:, q, None, None], out=term)
+        np.multiply(dN[:, :, None, None, :], dNt[:, None, :, :, None], out=term)
+        term *= (mu * self.vol)[:, None, None, None, None]
+        exact += term
+        exact *= afgdt
+        f_el += exact
+
+        # B: momentum rows, pressure columns, (E, a, i, b).
+        l_tau = wt @ lam  # (E, a)
+        b_el = -(wq * dN)[..., None] * lam.sum(axis=0)
+        b_el += rho * tk.sum(axis=1)[:, :, None, None] * dNt[:, None]
+        gdn = gradv @ dNt  # gradv dN_b, (E, i, b)
+        b_el -= rho * l_tau[:, :, None, None] * gdn[:, None]
+        b_el -= rho * dndn[:, :, None, :] * (wt2[:, None] @ rM)[..., None]
+        b_el *= afgdt
+
+        # C: continuity rows, velocity columns, (E, a, b, j).
+        c_el = rho * dN[:, :, None, :] * (wt[:, None] @ g).transpose(0, 2, 1)[:, None]
+        c_el += (afgdt * rho) * gtdn[:, :, None, :] * l_tau[:, None, :, None]
+        c_el += (afgdt * w)[:, None, None, None] * lam.sum(axis=0)[:, None, None] * dN[:, None]
+        c_el += ((afgdt * wq) * (rdn.transpose(0, 2, 1) @ y_dt)).reshape(E, 4, 4, 3)
+
+        d_el = (afgdt * wt.sum(axis=1))[:, None, None] * dndn
+
+        scatter = self._scatter
+        F = scatter["F"].matrix(f_el, self._backflow_tangent(v, afgdt))
+        F.eliminate_zeros()
         tangent = BlockTangent(
-            F=f_full[fv][:, fv],
-            B=b_full[fv][:, fp],
-            C=c_full[fp][:, fv],
-            D=d_full[fp][:, fp],
+            F=F,
+            B=scatter["B"].matrix(b_el),
+            C=scatter["C"].matrix(c_el.reshape(E, 4, 12)),
+            D=scatter["D"].matrix(d_el),
         )
+        fv = self.dofmap.free_v
         for name in self.outlets:
             w_k = afgdt * m_coeffs[name]
             a_free = self._outlet_weights[name][fv]
@@ -488,12 +504,10 @@ class NavierStokesAssembler:
         return tangent
 
     def _backflow_tangent(self, v, afgdt):
-        n3 = 3 * self.n_nodes
-        if self.beta == 0.0 or not self._bf_groups:
-            return sp.csr_matrix((n3, n3))
+        """Backflow entries of F, (K, a, i, b, j) over all outlet triangles."""
         lamt = TRI3_BARY
         eye = np.eye(3)
-        rows, cols, vals = [], [], []
+        vals = [np.zeros((0, 3, 3, 3, 3))]
         for group, tdofs, uq, un in self._backflow_surface_state(v):
             wt = group.areas / len(lamt)
             un_neg = np.minimum(un, 0.0)
@@ -501,11 +515,65 @@ class NavierStokesAssembler:
             k_el = np.einsum("k,kq,qa,qb,ij->kaibj", wt, un_neg, lamt, lamt, eye)
             k_el += np.einsum("k,kq,qa,kqi,qb,kj->kaibj", wt, active, lamt, uq, lamt, group.normals)
             k_el *= -self.rho * self.beta * afgdt
-            K = len(tdofs)
-            rows.append(np.repeat(tdofs, 9, axis=1).ravel())
-            cols.append(np.tile(tdofs, (1, 9)).ravel())
-            vals.append(k_el.reshape(K, -1).ravel())
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n3, n3),
-        ).tocsr()
+            vals.append(k_el)
+        return np.concatenate(vals)
+
+
+def _element_pairs(row_dofs, col_dofs):
+    """Row and column dofs of the entries of (K, m, n) element blocks."""
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+    return rows, cols
+
+
+class _BlockScatter:
+    """Fixed CSR pattern of one free-dof block, summed from element entries.
+
+    ``segments`` lists ``(rows, cols)``: the global dofs of the entries of
+    each segment in the order its kernel lays them out.  ``row_free`` and
+    ``col_free`` map global dofs to free indices, -1 for constrained
+    ones; entries in a constrained row or column are dropped.
+
+    Each segment is summed on its own and the sums are added, as in a
+    sparse sum of separately assembled COO matrices.  Within a segment,
+    duplicates are summed in the order scipy's COO -> CSR conversion
+    sums them: rows bucketed in input order, then each row sorted by
+    column with ``csr_sort_indices``.  That order depends on the pattern
+    alone, so it is found once, by sorting entry numbers.
+    """
+
+    def __init__(self, segments, row_free, col_free):
+        n_rows, n_cols = int(row_free.max()) + 1, int(col_free.max()) + 1
+        full_shape = (len(row_free), len(col_free))
+        takes, keys = [], []
+        for rows, cols in segments:
+            # Each row is sorted on its own, so constrained rows can go first.
+            entries = np.flatnonzero(row_free[rows] >= 0)
+            bucketed = entries[np.argsort(rows[entries], kind="stable")]
+            indptr = np.cumsum(np.bincount(rows[entries], minlength=full_shape[0]))
+            ids = sp.csr_matrix(
+                (bucketed.astype(float), cols[bucketed], np.concatenate(([0], indptr))),
+                shape=full_shape,
+            )
+            ids.sort_indices()
+            order = ids.data.astype(np.intp)
+            c = col_free[cols[order]]
+            takes.append(order[c >= 0])
+            keys.append(row_free[rows[takes[-1]]] * n_cols + c[c >= 0])
+        key, pos = np.unique(np.concatenate(keys), return_inverse=True)
+        self.parts = list(zip(takes, np.split(pos, np.cumsum([len(t) for t in takes[:-1]]))))
+        self.nnz = len(key)
+        indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols)
+        template = sp.csr_matrix(
+            (np.zeros(self.nnz), key % n_cols, indptr), shape=(n_rows, n_cols)
+        )
+        self.indices, self.indptr, self.shape = template.indices, template.indptr, template.shape
+
+    def matrix(self, *values) -> sp.csr_matrix:
+        """CSR block from the element entries of each segment."""
+        data = 0.0
+        for (take, pos), vals in zip(self.parts, values):
+            data = data + np.bincount(pos, weights=vals.ravel()[take], minlength=self.nnz)
+        return sp.csr_matrix(
+            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
+        )

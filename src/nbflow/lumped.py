@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from scipy.integrate import quad
-
 # Perturbation floor and relative size for the flow-derivative quotient.
 EPS_ABS = 1.0e-8
 EPS_REL = 1.0e-5
@@ -117,6 +115,8 @@ def analytic_pressure(model: Windkessel, q_times, q_values, t, pi0=0.0):
     Gauss-Kronrod quadrature segment by segment so the result can serve
     as an oracle for the time-stepped solution.
     """
+    from scipy.integrate import quad  # the oracle's only use; slow to import
+
     if t < 0.0:
         raise ValueError("t must be non-negative")
     times = [float(v) for v in q_times]

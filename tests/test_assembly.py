@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nbflow.assembly import (
     BlockTangent,
     DofMap,
     NavierStokesAssembler,
-    apply_block,
     stabilization_params,
 )
 from nbflow.lumped import Resistance, Windkessel
 from nbflow.meshing import SIMPLEX_SCALING, metric_tensor
-from nbflow.quadrature import TET4_BARY, TET4_WEIGHTS
+from nbflow.quadrature import TET4_BARY, TET4_WEIGHTS, TRI3_BARY
 from nbflow.structured import tube_mesh
 from nbflow.timestep import (
     FlowState,
@@ -242,6 +242,192 @@ def test_tangent_rank_one_weight_for_resistance_outlet():
             assert w == pytest.approx(ga.alpha_f * ga.gamma * 2e-3 * model.R, rel=1e-14)
 
 
+def _tangent_reference(asm, v, vdot, p, outlet_pressures, m_coeffs, dt, alpha,
+                       time=0.0) -> BlockTangent:
+    """Term-by-term einsum tangent, the reference for the grouped kernels.
+
+    Each of the 23 velocity-velocity terms is its own einsum; the blocks
+    go through COO -> CSR and free-dof fancy indexing.
+    """
+    lam = TET4_BARY
+    s = asm._volume_state(v, vdot, p, dt, time)
+    w, dN, rho, mu = asm.w, asm.dN, asm.rho, asm.mu
+    tau_m, tau_c, rM = s["tau_m"], s["tau_c"], s["rM"]
+    gradv, divv = s["gradv"], s["divv"]
+    E = len(asm.conn)
+    eye = np.eye(3)
+
+    tdn = np.einsum("eqj,eaj->eqa", s["u"], dN)  # u . dN_a at q
+    rdn = np.einsum("eqj,eaj->eqa", rM, dN)  # rM . dN_a at q
+    gr = np.einsum("eij,eqj->eqi", gradv, rM)  # gradv rM
+    gdn = np.einsum("eik,ebk->ebi", gradv, dN)  # gradv dN_b
+    gtdn = np.einsum("ekj,eak->eaj", gradv, dN)  # gradv^T dN_a
+    gradv2 = np.einsum("eik,ekj->eij", gradv, gradv)
+    dtm, dtc = s["dtau_m"], s["dtau_c"]
+
+    nn = np.einsum("e,qa,qb->eab", w, lam, lam)
+    nn_tau = np.einsum("e,qa,qb,eq->eab", w, lam, lam, tau_m)
+    dndn = np.einsum("eak,ebk->eab", dN, dN)
+    int_n = np.einsum("e,qa->ea", w, lam)
+    l_tau = np.einsum("e,qa,eq->ea", w, lam, tau_m)
+
+    # Momentum derivative w.r.t. acceleration.
+    mv = rho * np.einsum("eab,ij->eaibj", nn, eye)
+    mv += rho**2 * np.einsum("e,eq,qb,eqa,ij->eaibj", w, tau_m, lam, tdn, eye)
+    mv -= rho**2 * np.einsum("eab,eij->eaibj", nn_tau, gradv)
+    mv -= rho**2 * np.einsum("e,eq,qb,eqa,ij->eaibj", w, tau_m**2, lam, rdn, eye)
+    mv -= rho**2 * np.einsum("e,eq,qb,eqi,eaj->eaibj", w, tau_m**2, lam, rM, dN)
+
+    # Momentum derivative w.r.t. velocity.
+    kv = rho * np.einsum("e,qa,eqb,ij->eaibj", w, lam, tdn, eye)
+    kv += rho * np.einsum("eab,eij->eaibj", nn, gradv)
+    kv += mu * asm.vol[:, None, None, None, None] * (
+        np.einsum("eab,ij->eaibj", dndn, eye)
+        + np.einsum("ebi,eaj->eaibj", dN, dN)
+    )
+    # Cross term 1.
+    kv += rho * np.einsum("e,eqj,qb,eqi,eqa->eaibj", w, dtm, lam, rM, tdn)
+    kv += rho**2 * np.einsum("e,eq,eqb,eqa,ij->eaibj", w, tau_m, tdn, tdn, eye)
+    kv += rho**2 * np.einsum("e,eq,qb,eij,eqa->eaibj", w, tau_m, lam, gradv, tdn)
+    kv += rho * np.einsum("e,eq,eqi,qb,eaj->eaibj", w, tau_m, rM, lam, dN)
+    # Cross term 2.
+    kv -= rho * np.einsum("e,qa,eqj,qb,eqi->eaibj", w, lam, dtm, lam, gr)
+    kv -= rho * np.einsum("e,qa,eq,eqb,ij->eaibj", w, lam, tau_m, rdn, eye)
+    kv -= rho**2 * np.einsum("e,qa,eq,eij,eqb->eaibj", w, lam, tau_m, gradv, tdn)
+    kv -= rho**2 * np.einsum("e,qa,eq,qb,eij->eaibj", w, lam, tau_m, lam, gradv2)
+    # Subgrid stress term.
+    kv -= 2.0 * rho * np.einsum("e,eq,eqj,qb,eqi,eqa->eaibj", w, tau_m, dtm, lam, rM, rdn)
+    kv -= rho**2 * np.einsum("e,eq,eqb,eqa,ij->eaibj", w, tau_m**2, tdn, rdn, eye)
+    kv -= rho**2 * np.einsum("e,eq,qb,eij,eqa->eaibj", w, tau_m**2, lam, gradv, rdn)
+    kv -= rho**2 * np.einsum("e,eq,eqi,eqb,eaj->eaibj", w, tau_m**2, rM, tdn, dN)
+    kv -= rho**2 * np.einsum("e,eq,eqi,qb,eaj->eaibj", w, tau_m**2, rM, lam, gtdn)
+    # Grad-div term.
+    kv += np.einsum("e,eqj,qb,e,eai->eaibj", w, dtc, lam, divv, dN)
+    kv += np.einsum("e,eq,ebj,eai->eaibj", w, tau_c, dN, dN)
+
+    # Momentum derivative w.r.t. pressure.
+    gp = -np.einsum("eai,eb->eaib", dN, int_n)
+    gp += rho * np.einsum("e,eq,ebi,eqa->eaib", w, tau_m, dN, tdn)
+    gp -= np.einsum("ea,ebi->eaib", l_tau, gdn) * rho
+    gp -= rho * np.einsum("e,eq,ebi,eqa->eaib", w, tau_m**2, dN, rdn)
+    gp -= rho * np.einsum("e,eq,eqi,eab->eaib", w, tau_m**2, rM, dndn)
+
+    # Continuity derivatives.
+    mp = rho * np.einsum("e,eq,qb,eaj->eabj", w, tau_m, lam, dN)
+    kp = np.einsum("ea,ebj->eabj", int_n, dN)
+    kp += np.einsum("e,eqj,qb,eqa->eabj", w, dtm, lam, rdn)
+    kp += rho * np.einsum("e,eq,eqb,eaj->eabj", w, tau_m, tdn, dN)
+    kp += rho * np.einsum("e,eq,qb,eaj->eabj", w, tau_m, lam, gtdn)
+    dp = np.einsum("e,eq,eab->eab", w, tau_m, dndn)
+
+    am, afgdt = alpha.alpha_m, alpha.alpha_f * alpha.gamma * dt
+    f_el = (am * mv + afgdt * kv).reshape(E, -1)
+    b_el = (afgdt * gp).reshape(E, -1)
+    c_el = (am * mp + afgdt * kp).reshape(E, -1)
+    d_el = (afgdt * dp).reshape(E, -1)
+
+    vdofs, conn = asm._vdofs, asm.conn
+    rows_vv = np.repeat(vdofs, 12, axis=1).ravel()
+    cols_vv = np.tile(vdofs, (1, 12)).ravel()
+    rows_vp = np.repeat(vdofs, 4, axis=1).ravel()
+    cols_vp = np.tile(conn, (1, 12)).ravel()
+    rows_pv = np.repeat(conn, 12, axis=1).ravel()
+    cols_pv = np.tile(vdofs, (1, 4)).ravel()
+    rows_pp = np.repeat(conn, 4, axis=1).ravel()
+    cols_pp = np.tile(conn, (1, 4)).ravel()
+
+    n3 = 3 * asm.n_nodes
+    f_full = sp.coo_matrix(
+        (f_el.ravel(), (rows_vv, cols_vv)), shape=(n3, n3)
+    ).tocsr()
+    f_full += _backflow_tangent_reference(asm, v, afgdt)
+    b_full = sp.coo_matrix(
+        (b_el.ravel(), (rows_vp, cols_vp)), shape=(n3, asm.n_nodes)
+    ).tocsr()
+    c_full = sp.coo_matrix(
+        (c_el.ravel(), (rows_pv, cols_pv)), shape=(asm.n_nodes, n3)
+    ).tocsr()
+    d_full = sp.coo_matrix(
+        (d_el.ravel(), (rows_pp, cols_pp)),
+        shape=(asm.n_nodes, asm.n_nodes),
+    ).tocsr()
+
+    fv, fp = asm.dofmap.free_v, asm.dofmap.free_p
+    tangent = BlockTangent(
+        F=f_full[fv][:, fv],
+        B=b_full[fv][:, fp],
+        C=c_full[fp][:, fv],
+        D=d_full[fp][:, fp],
+    )
+    for name in asm.outlets:
+        w_k = afgdt * m_coeffs[name]
+        a_free = asm._outlet_weights[name][fv]
+        tangent.rank_one.append((w_k, a_free))
+    return tangent
+
+
+def _backflow_tangent_reference(asm, v, afgdt):
+    n3 = 3 * asm.n_nodes
+    if asm.beta == 0.0 or not asm._bf_groups:
+        return sp.csr_matrix((n3, n3))
+    lamt = TRI3_BARY
+    eye = np.eye(3)
+    rows, cols, vals = [], [], []
+    for group, tdofs, uq, un in asm._backflow_surface_state(v):
+        wt = group.areas / len(lamt)
+        un_neg = np.minimum(un, 0.0)
+        active = (un < 0.0).astype(float)
+        k_el = np.einsum("k,kq,qa,qb,ij->kaibj", wt, un_neg, lamt, lamt, eye)
+        k_el += np.einsum("k,kq,qa,kqi,qb,kj->kaibj", wt, active, lamt, uq, lamt, group.normals)
+        k_el *= -asm.rho * asm.beta * afgdt
+        K = len(tdofs)
+        rows.append(np.repeat(tdofs, 9, axis=1).ravel())
+        cols.append(np.tile(tdofs, (1, 9)).ravel())
+        vals.append(k_el.reshape(K, -1).ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n3, n3),
+    ).tocsr()
+
+
+@pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "no_outlets"])
+def test_tangent_matches_einsum_reference(case):
+    mesh = tube_mesh(1.0, 3.0, n_r=2, n_theta=6, n_z=4)
+    dofmap = DofMap.from_mesh(mesh, ["inlet", "wall"])
+    outlets = [] if case == "no_outlets" else ["outlet"]
+    asm = NavierStokesAssembler(mesh, dofmap, RHO, MU, outlets=outlets,
+                                stabilization=case != "unstabilized")
+    n = mesh.n_nodes
+    v, vdot, p = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
+    if case != "zero":
+        rng = np.random.default_rng(11)
+        # Flow into the z = L outlet, so the backflow penalty is active.
+        v = np.tile([0.0, 0.0, -1.5], (n, 1)) + 0.3 * rng.normal(size=(n, 3))
+        vdot = rng.normal(size=(n, 3))
+        p = 10.0 * rng.normal(size=n)
+    args = (v, vdot, p, {k: 2.0 for k in outlets}, {k: 40.0 for k in outlets},
+            1e-3, genalpha_params(0.5))
+    ref = _tangent_reference(asm, *args, time=0.1)
+    new = asm.tangent(*args, time=0.1)
+    if case == "backflow":
+        assert np.abs(_backflow_tangent_reference(asm, v, 1.0).data).max() > 0.0
+    for name in "FBCD":
+        expected, got = getattr(ref, name).copy(), getattr(new, name)
+        expected.sort_indices()
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, expected.indptr), name
+        assert np.array_equal(got.indices, expected.indices), name
+        scale = np.abs(expected.data).max()
+        assert np.abs(got.data - expected.data).max() <= 1e-13 * scale, name
+    if case == "zero":
+        # F drops the entries that cancel to an exact zero; B keeps its zeros.
+        assert new.F.nnz < asm._scatter["F"].nnz
+        assert np.any(new.B.data == 0.0)
+    assert len(new.rank_one) == len(ref.rank_one)
+    for (w_new, a_new), (w_ref, a_ref) in zip(new.rank_one, ref.rank_one):
+        assert w_new == w_ref and np.array_equal(a_new, a_ref)
+
+
 def test_stokes_limit_symmetry():
     mesh = two_tet_mesh_all_outlets()
     dofmap = DofMap(mesh.n_nodes)
@@ -323,7 +509,7 @@ class TestApplyBlock:
 
     def test_zero_vector(self):
         t = self._synthetic()
-        assert np.all(apply_block(t, np.zeros(6)) == 0.0)
+        assert np.all(t.apply(np.zeros(6)) == 0.0)
 
     def test_matches_plain_block_multiply_without_rank_one(self):
         import scipy.sparse as sp
@@ -343,13 +529,13 @@ class TestApplyBlock:
         e1[0] = 1.0
         t = self._synthetic(rank_one=[(2.0, e1)])
         x = np.concatenate([e1, np.zeros(2)])
-        y = apply_block(t, x)
+        y = t.apply(x)
         assert np.allclose(y[:4], 3.0 * e1)
 
     def test_dimension_mismatch(self):
         t = self._synthetic()
         with pytest.raises(ValueError):
-            apply_block(t, np.zeros(5))
+            t.apply(np.zeros(5))
 
     def test_a_diagonal_includes_rank_one(self):
         e1 = np.zeros(4)
