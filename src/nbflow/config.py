@@ -92,6 +92,11 @@ class BenchCase:
     preconditioner: str
     nested: NestedSettings
 
+    def __post_init__(self):
+        if self.preconditioner not in PRECONDITIONERS:
+            raise ConfigError(f"unknown preconditioner {self.preconditioner!r} "
+                              f"in bench case {self.name!r}")
+
 
 @dataclass(frozen=True)
 class BenchConfig:

@@ -62,16 +62,28 @@ def _as_operator(obj):
     return lambda x: obj @ x
 
 
-def _gmres_cycle(apply_op, r, target, restart, iters_left):
-    """One Arnoldi cycle minimizing ||r - op z|| over the Krylov space.
+def _zero_solution(b):
+    """Exact answer for a zero reference: ``x = 0``, converged, no iterations."""
+    return np.zeros_like(b), SolveStats(converged=True, residual_norm=0.0,
+                                        relative_residual=0.0)
 
-    Returns (dx, residual_history, breakdown) where dx is the correction
-    in the operator's input space.
+
+def _gmres_cycle(apply_op, r, target, m, apply_p=None):
+    """One Arnoldi cycle of at most ``m`` columns minimizing ``||r - op z||``.
+
+    With a right preconditioner ``apply_p`` (flexible GMRES) the cycle
+    stores ``Z[j] = apply_p(V[j])`` and applies the operator to ``Z[j]``;
+    without one, ``Z`` is ``V``.  Returns ``(dz, history, breakdown)``:
+    the correction ``Z[:k].T @ y``, the residual estimate after each of
+    the ``k`` columns, and whether the cycle exited on ``h_{j+1,j} == 0``.
+    A column whose Givens rotation is exactly zero (singular Hessenberg)
+    ends the cycle at the last good column with a warning; a non-finite
+    one raises ``FloatingPointError``.
     """
     n = len(r)
     beta = np.linalg.norm(r)
-    m = min(restart, iters_left)
     V = np.empty((m + 1, n))
+    Z = V if apply_p is None else np.empty((m, n))
     H = np.zeros((m + 1, m))
     cs = np.zeros(m)
     sn = np.zeros(m)
@@ -79,10 +91,11 @@ def _gmres_cycle(apply_op, r, target, restart, iters_left):
     g[0] = beta
     V[0] = r / beta
     history = []
-    breakdown = False
     k = 0
     for j in range(m):
-        w = apply_op(V[j])
+        if apply_p is not None:
+            Z[j] = apply_p(V[j])
+        w = apply_op(Z[j])
         norm_before = np.linalg.norm(w)
         for i in range(j + 1):
             H[i, j] = V[i] @ w
@@ -101,8 +114,12 @@ def _gmres_cycle(apply_op, r, target, restart, iters_left):
             H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
             H[i, j] = t
         denom = np.hypot(H[j, j], H[j + 1, j])
-        if denom == 0.0 or not np.isfinite(denom):
-            raise FloatingPointError("GMRES breakdown: zero or non-finite Hessenberg")
+        if not np.isfinite(denom):
+            raise FloatingPointError("GMRES breakdown: non-finite Hessenberg")
+        if denom == 0.0:
+            log.warning("GMRES cycle stopped after %d of %d columns: singular Hessenberg",
+                        k, m)
+            break
         cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
         H[j, j] = denom
         H[j + 1, j] = 0.0
@@ -110,15 +127,11 @@ def _gmres_cycle(apply_op, r, target, restart, iters_left):
         g[j] = cs[j] * g[j]
         k = j + 1
         history.append(abs(g[j + 1]))
-        if abs(g[j + 1]) <= target:
-            break
-        if h_last == 0.0:  # happy breakdown: exact solution found
-            breakdown = True
+        if abs(g[j + 1]) <= target or h_last == 0.0:
             break
         V[j + 1] = w / h_last
     y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
-    dx = V[:k].T @ y
-    return dx, history, breakdown
+    return Z[:k].T @ y, history, bool(h_last == 0.0)
 
 
 def gmres(apply_a, b, settings: SolverSettings, x0=None, preconditioner=None):
@@ -126,6 +139,7 @@ def gmres(apply_a, b, settings: SolverSettings, x0=None, preconditioner=None):
 
     Solves ``P^-1 A x = P^-1 b``; convergence is declared when the
     preconditioned residual drops below ``max(rtol ||P^-1 b||, atol)``.
+    A breakdown ends the solve.
     """
     apply_a = _as_operator(apply_a)
     apply_p = _as_operator(preconditioner) if preconditioner is not None else None
@@ -135,38 +149,32 @@ def gmres(apply_a, b, settings: SolverSettings, x0=None, preconditioner=None):
     def prec(vec):
         return apply_p(vec) if apply_p is not None else vec
 
-    stats = SolveStats()
     ref = np.linalg.norm(prec(b))
-    stats.reference = ref
     if ref == 0.0:
-        stats.converged = True
-        stats.residual_norm = 0.0
-        stats.relative_residual = 0.0
-        return np.zeros_like(b), stats
+        return _zero_solution(b)
+    stats = SolveStats(reference=ref)
     target = max(settings.rtol * ref, settings.atol)
     z = prec(b - apply_a(x)) if np.any(x) else prec(b)
     rnorm = np.linalg.norm(z)
     stats.history.append(rnorm)
     while rnorm > target and stats.iterations < settings.max_iters:
-        dx, hist, broke = _gmres_cycle(
+        dx, hist, stats.breakdown = _gmres_cycle(
             lambda vec: prec(apply_a(vec)),
             z,
             target,
-            settings.restart,
-            settings.max_iters - stats.iterations,
+            min(settings.restart, settings.max_iters - stats.iterations),
         )
         x = x + dx
         stats.iterations += len(hist)
         stats.history.extend(hist)
-        stats.breakdown |= broke
         z = prec(b - apply_a(x))
         rnorm = np.linalg.norm(z)
-        if broke:
+        if stats.breakdown:
             break
     stats.history[-1] = rnorm
     stats.residual_norm = rnorm
     stats.relative_residual = rnorm / ref
-    stats.converged = bool(rnorm <= target or stats.breakdown)
+    stats.converged = bool(rnorm <= target)
     return x, stats
 
 
@@ -177,22 +185,17 @@ def fgmres(apply_a, apply_p, b, settings: SolverSettings, x0=None):
     inner solve).  Both the Krylov basis and the preconditioned vectors
     are stored; convergence is checked on the true residual against
     ``max(rtol ||b||, atol)``.  Stagnation over a full restart cycle is
-    reported in the stats but is not fatal.
+    reported in the stats but is not fatal; a breakdown ends the solve.
     """
     apply_a = _as_operator(apply_a)
     apply_p = _as_operator(apply_p)
     b = np.asarray(b, dtype=float)
     x = np.array(x0, dtype=float, copy=True) if x0 is not None else np.zeros_like(b)
-    n = len(b)
 
-    stats = SolveStats()
     ref = np.linalg.norm(b)
-    stats.reference = ref
     if ref == 0.0:
-        stats.converged = True
-        stats.residual_norm = 0.0
-        stats.relative_residual = 0.0
-        return np.zeros_like(b), stats
+        return _zero_solution(b)
+    stats = SolveStats(reference=ref)
     target = max(settings.rtol * ref, settings.atol)
 
     r = b - apply_a(x) if np.any(x) else b.copy()
@@ -202,57 +205,16 @@ def fgmres(apply_a, apply_p, b, settings: SolverSettings, x0=None):
     while rnorm > target and stats.iterations < settings.max_iters:
         cycle_start = rnorm
         m = min(settings.restart, settings.max_iters - stats.iterations)
-        beta = rnorm
-        V = np.empty((m + 1, n))
-        Z = np.empty((m, n))
-        H = np.zeros((m + 1, m))
-        cs, sn = np.zeros(m), np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[0] = r / beta
-        k = 0
-        for j in range(m):
-            Z[j] = apply_p(V[j])
-            w = apply_a(Z[j])
-            norm_before = np.linalg.norm(w)
-            for i in range(j + 1):
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            h_last = np.linalg.norm(w)
-            if h_last < _REORTH_THRESHOLD * norm_before:
-                for i in range(j + 1):
-                    corr = V[i] @ w
-                    H[i, j] += corr
-                    w -= corr * V[i]
-                h_last = np.linalg.norm(w)
-            H[j + 1, j] = h_last
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            if denom == 0.0 or not np.isfinite(denom):
-                raise FloatingPointError("FGMRES breakdown: zero or non-finite Hessenberg")
-            cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            k = j + 1
-            stats.history.append(abs(g[j + 1]))
-            if abs(g[j + 1]) <= target or h_last == 0.0:
-                stats.breakdown |= h_last == 0.0
-                break
-            V[j + 1] = w / h_last
-        y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
-        x = x + Z[:k].T @ y
-        stats.iterations += k
+        dx, hist, stats.breakdown = _gmres_cycle(apply_a, r, target, m, apply_p)
+        x = x + dx
+        stats.iterations += len(hist)
+        stats.history.extend(hist)
         r = b - apply_a(x)
         rnorm = np.linalg.norm(r)
         stats.history[-1] = rnorm
         if rnorm < best_norm:
             best_norm, best_x = rnorm, x.copy()
-        if rnorm >= cycle_start and k == m:
+        if rnorm >= cycle_start and len(hist) == m:
             stats.stagnated = True
         if stats.breakdown:
             break
@@ -373,11 +335,6 @@ class ILU0Preconditioner:
         return self._inv_diag * w
 
     __call__ = apply
-
-
-def ilu0_build(matrix) -> ILU0Preconditioner:
-    """Zero-fill ILU preconditioner over the sparsity pattern of ``matrix``."""
-    return ILU0Preconditioner(matrix)
 
 
 def save_matrix(path, matrix) -> None:

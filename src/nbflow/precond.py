@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import BlockTangent
-from .krylov import SolverSettings, gmres, ilu0_build, jacobi_build
+from .krylov import ILU0Preconditioner, SolverSettings, gmres, jacobi_build
 
 PC_A_CHOICES = ("jacobi", "ilu0", "none")
 PC_S_CHOICES = ("ilu0", "jacobi", "bipn", "none")
@@ -128,7 +128,7 @@ class BipnSchur:
     def preconditioner(self):
         """Approximate inverse: ILU(0) of the sparse base corrected by the
         Woodbury identity for the rank-one terms."""
-        ilu = ilu0_build(self.base)
+        ilu = ILU0Preconditioner(self.base)
         if not self.coeffs:
             return ilu
         mu = np.column_stack([ilu.apply(u) for u in self.u_vectors])
@@ -142,22 +142,17 @@ class BipnSchur:
         return apply
 
 
-def bipn_schur(tangent: BlockTangent) -> BipnSchur:
-    """Build the sparse-plus-low-rank Schur approximation."""
-    return BipnSchur(tangent)
-
-
 def _build_pc_a(tangent: BlockTangent, kind: str):
     if kind == "jacobi":
         return jacobi_build(tangent)
     if kind == "ilu0":
-        return ilu0_build(tangent.F)  # rank-one terms are not factored
+        return ILU0Preconditioner(tangent.F)  # rank-one terms are not factored
     return None
 
 
 def _build_pc_s(tangent: BlockTangent, s_hat, kind: str):
     if kind == "ilu0":
-        return ilu0_build(s_hat)
+        return ILU0Preconditioner(s_hat)
     if kind == "jacobi":
         return jacobi_build(s_hat)
     if kind == "bipn":
@@ -174,11 +169,11 @@ class SchurContext:
     recorded and the best iterate is used.
     """
 
-    def __init__(self, tangent: BlockTangent, settings: NestedSettings, pc_a=None,
+    def __init__(self, tangent: BlockTangent, settings: NestedSettings,
                  stats: SubSolveStats | None = None):
         self.tangent = tangent
         self.settings = settings
-        self.pc_a = pc_a if pc_a is not None else _build_pc_a(tangent, settings.pc_a)
+        self.pc_a = _build_pc_a(tangent, settings.pc_a)
         # Only the ilu0 and jacobi Schur preconditioners read the sparse approximation.
         s_hat = schur_sparse_approx(tangent) if settings.pc_s in ("ilu0", "jacobi") else None
         self.pc_s = _build_pc_s(tangent, s_hat, settings.pc_s)
@@ -228,15 +223,9 @@ class SCRPreconditioner:
     __call__ = apply
 
 
-class SIMPLEPreconditioner:
-    """Two-level variant: sparse Schur approximation, no inner solver.
-
-    The pressure system is solved on the sparse approximation built from
-    diag(A), and the velocity update uses diag(A)^-1 B so the mass
-    equation is left unperturbed.
-    """
-
-    name = "simple"
+class _SparseSchurSetup:
+    """Setup shared by the two-level preconditioners: ``P_A``, the sparse
+    Schur approximation ``s_hat`` with its preconditioner, and diag(A)^-1."""
 
     def __init__(self, tangent: BlockTangent, settings: NestedSettings):
         self.tangent = tangent
@@ -246,6 +235,17 @@ class SIMPLEPreconditioner:
         self.s_hat = schur_sparse_approx(tangent)
         self.pc_s = _build_pc_s(tangent, self.s_hat, settings.pc_s)
         self.inv_diag_a = 1.0 / tangent.a_diagonal()
+
+
+class SIMPLEPreconditioner(_SparseSchurSetup):
+    """Two-level variant: sparse Schur approximation, no inner solver.
+
+    The pressure system is solved on the sparse approximation built from
+    diag(A), and the velocity update uses diag(A)^-1 B so the mass
+    equation is left unperturbed.
+    """
+
+    name = "simple"
 
     def apply(self, s):
         t = self.tangent
@@ -264,18 +264,10 @@ class SIMPLEPreconditioner:
     __call__ = apply
 
 
-class BlockDiagPreconditioner:
+class BlockDiagPreconditioner(_SparseSchurSetup):
     """Weakest baseline: independent A and sparse-Schur solves, no coupling."""
 
     name = "block_diag"
-
-    def __init__(self, tangent: BlockTangent, settings: NestedSettings):
-        self.tangent = tangent
-        self.settings = settings
-        self.stats = SubSolveStats()
-        self.pc_a = _build_pc_a(tangent, settings.pc_a)
-        self.s_hat = schur_sparse_approx(tangent)
-        self.pc_s = _build_pc_s(tangent, self.s_hat, settings.pc_s)
 
     def apply(self, s):
         t = self.tangent
@@ -319,24 +311,3 @@ def build_preconditioner(name: str, tangent: BlockTangent, settings: NestedSetti
             f"unknown preconditioner {name!r}; choose from {sorted(PRECONDITIONERS)}"
         ) from None
     return cls(tangent, settings)
-
-
-# Functional forms of the preconditioner actions (convenient in tests; the
-# class API avoids rebuilding the sub-preconditioners on every call).
-
-
-def schur_apply(ctx: SchurContext, x_p):
-    """Matrix-free Schur action ``D x - C A^-1 B x``."""
-    return ctx.apply(x_p)
-
-
-def scr_apply(tangent, settings, s):
-    return SCRPreconditioner(tangent, settings).apply(s)
-
-
-def simple_apply(tangent, settings, s):
-    return SIMPLEPreconditioner(tangent, settings).apply(s)
-
-
-def block_diag_apply(tangent, settings, s):
-    return BlockDiagPreconditioner(tangent, settings).apply(s)

@@ -91,6 +91,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[solver]\npreconditioner = nope\n")
         with pytest.raises(ConfigError):
+            parse_config("[bench]\n[benchcase.x]\npreconditioner = nope\n")
+        with pytest.raises(ConfigError):
             parse_config("[outlet.x]\ntype = magic\nR = 1\n")
 
     def test_with_resistance(self):

@@ -9,7 +9,6 @@ from nbflow.krylov import (
     SolverSettings,
     fgmres,
     gmres,
-    ilu0_build,
     jacobi_build,
     load_matrix,
     save_matrix,
@@ -82,7 +81,7 @@ def assert_matches_ilu0_reference(matrix):
     from scipy.sparse.linalg import spsolve_triangular
 
     lower, upper, shifted = _ilu0_reference(matrix)
-    pc = ilu0_build(matrix)
+    pc = ILU0Preconditioner(matrix)
     assert pc.shifted == shifted
     for got, want in ((pc.lower, lower), (pc.upper, upper)):
         for attr in ("indptr", "indices", "data"):
@@ -151,6 +150,18 @@ class TestGmres:
         x, stats = gmres(a, np.zeros(a.shape[0]), SolverSettings())
         assert stats.converged
         assert np.all(x == 0.0)
+
+    def test_singular_hessenberg_ends_solve(self, caplog):
+        # A e2 = 0: the first column is zero, so no column is good.
+        a = np.diag([1.0, 0.0])
+        b = np.array([0.0, 1.0])
+        with caplog.at_level(logging.WARNING, logger="nbflow.krylov"):
+            x, stats = gmres(a, b, SolverSettings(rtol=1e-10))
+        assert "singular Hessenberg" in caplog.text
+        assert not stats.converged
+        assert stats.breakdown and stats.iterations == 0
+        assert np.array_equal(x, np.zeros(2))
+        assert stats.residual_norm == 1.0
 
     def test_x0_untouched_on_failure(self):
         a = poisson_2d(16)
@@ -240,6 +251,26 @@ class TestFgmres:
         # The best iterate found is returned even without convergence.
         assert np.linalg.norm(a @ x - b) <= np.linalg.norm(a @ x0 - b) + 1e-12
 
+    def test_singular_hessenberg_returns_best_iterate(self, caplog):
+        # The preconditioner returns zeros on its second call, so the
+        # second column is zero and the cycle keeps the first one.
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
+        b = rng.normal(size=6)
+        calls = []
+
+        def p_apply(v):
+            calls.append(1)
+            return np.zeros_like(v) if len(calls) == 2 else v
+
+        with caplog.at_level(logging.WARNING, logger="nbflow.krylov"):
+            x, stats = fgmres(a, p_apply, b, SolverSettings(rtol=1e-10))
+        assert "singular Hessenberg" in caplog.text
+        assert not stats.converged
+        assert stats.breakdown and stats.iterations == 1 and len(calls) == 2
+        assert stats.residual_norm == np.linalg.norm(b - a @ x)
+        assert stats.residual_norm < np.linalg.norm(b)
+
     def test_zero_rhs(self):
         a = poisson_2d(4)
         x, stats = fgmres(a, lambda v: v, np.zeros(a.shape[0]), SolverSettings())
@@ -294,7 +325,7 @@ class TestILU0:
     def test_lower_triangular_exact(self):
         rng = np.random.default_rng(0)
         a = np.tril(rng.normal(size=(8, 8))) + 4.0 * np.eye(8)
-        pc = ilu0_build(sp.csr_matrix(a))
+        pc = ILU0Preconditioner(sp.csr_matrix(a))
         b = rng.normal(size=8)
         assert np.allclose(a @ pc.apply(b), b, rtol=1e-12)
 
@@ -302,7 +333,7 @@ class TestILU0:
         n = 20
         a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1], format="csr")
-        pc = ilu0_build(a)
+        pc = ILU0Preconditioner(a)
         rng = np.random.default_rng(1)
         b = rng.normal(size=n)
         x = pc.apply(b)
@@ -314,7 +345,7 @@ class TestILU0:
         b = rng.normal(size=a.shape[0])
         settings = SolverSettings(restart=300, rtol=1e-10, max_iters=300)
         _, with_jacobi = gmres(a, b, settings, preconditioner=jacobi_build(a))
-        _, with_ilu = gmres(a, b, settings, preconditioner=ilu0_build(a))
+        _, with_ilu = gmres(a, b, settings, preconditioner=ILU0Preconditioner(a))
         assert with_ilu.converged
         assert with_ilu.iterations < with_jacobi.iterations
 
@@ -326,7 +357,7 @@ class TestILU0:
             shape=(2, 2),
         )
         with caplog.at_level(logging.WARNING, logger="nbflow.krylov"):
-            pc = ilu0_build(a)
+            pc = ILU0Preconditioner(a)
         assert pc.shifted
         assert "ILU(0) applied a diagonal shift to avoid a zero pivot" in caplog.messages
 
@@ -346,14 +377,14 @@ class TestILU0:
         dense = np.array(dense)
         rows, cols = np.nonzero((dense != 0.0) | np.eye(len(dense), dtype=bool))
         a = sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
-        assert ilu0_build(a).shifted
+        assert ILU0Preconditioner(a).shifted
         assert_matches_ilu0_reference(a)
 
     def test_missing_diagonal_rejected(self):
         a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
         a.eliminate_zeros()
         with pytest.raises(ValueError, match="diagonal"):
-            ilu0_build(a)
+            ILU0Preconditioner(a)
 
 
 def test_settings_validation():

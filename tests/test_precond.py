@@ -9,18 +9,14 @@ from nbflow import precond
 from nbflow.assembly import BlockTangent
 from nbflow.krylov import SolverSettings, fgmres
 from nbflow.precond import (
+    BipnSchur,
     BlockDiagPreconditioner,
     NestedSettings,
     SCRPreconditioner,
     SIMPLEPreconditioner,
     SchurContext,
-    bipn_schur,
-    block_diag_apply,
     build_preconditioner,
-    schur_apply,
     schur_sparse_approx,
-    scr_apply,
-    simple_apply,
 )
 
 from conftest import small_tube_system, tube_tangent
@@ -65,7 +61,7 @@ class TestSchurApply:
         t = _synthetic_tangent(b=np.zeros((12, 6)))
         ctx = SchurContext(t, TIGHT)
         x = np.arange(6.0)
-        assert np.allclose(schur_apply(ctx, x), t.D @ x, rtol=1e-14)
+        assert np.allclose(ctx.apply(x), t.D @ x, rtol=1e-14)
 
     def test_identity_a_block(self):
         t = _synthetic_tangent()
@@ -157,11 +153,11 @@ def test_schur_context_skips_unused_sparse_approx(monkeypatch, pc_s):
 class TestSCR:
     def test_zero_input(self, tube_blocks):
         tangent, *_ = tube_blocks
-        assert np.all(scr_apply(tangent, TIGHT, np.zeros(tangent.n)) == 0.0)
+        assert np.all(SCRPreconditioner(tangent, TIGHT).apply(np.zeros(tangent.n)) == 0.0)
 
     def test_matches_dense_solve(self, tube_blocks):
         tangent, rhs, dense, _ = tube_blocks
-        y = scr_apply(tangent, TIGHT, rhs)
+        y = SCRPreconditioner(tangent, TIGHT).apply(rhs)
         y_exact = sla.solve(dense, rhs)
         assert np.linalg.norm(y - y_exact) < 1e-8 * np.linalg.norm(y_exact)
 
@@ -176,7 +172,7 @@ class TestSCR:
         t = _synthetic_tangent(b=np.zeros((12, 6)), c=np.zeros((6, 12)))
         rng = np.random.default_rng(2)
         s = rng.normal(size=t.n)
-        y = scr_apply(t, TIGHT, s)
+        y = SCRPreconditioner(t, TIGHT).apply(s)
         y_v = sla.solve(t.F.toarray(), s[:12])
         y_p = sla.solve(t.D.toarray(), s[12:])
         assert np.allclose(y, np.concatenate([y_v, y_p]), atol=1e-9 * np.abs(y).max())
@@ -185,14 +181,14 @@ class TestSCR:
 class TestSIMPLE:
     def test_zero_input(self, tube_blocks):
         tangent, *_ = tube_blocks
-        assert np.all(simple_apply(tangent, TIGHT, np.zeros(tangent.n)) == 0.0)
+        assert np.all(SIMPLEPreconditioner(tangent, TIGHT).apply(np.zeros(tangent.n)) == 0.0)
 
     def test_diagonal_a_equals_exact_solve(self):
         t = _synthetic_tangent(diagonal_f=True, seed=4)
         rng = np.random.default_rng(4)
         s = rng.normal(size=t.n)
-        y_simple = simple_apply(t, TIGHT, s)
-        y_scr = scr_apply(t, TIGHT, s)
+        y_simple = SIMPLEPreconditioner(t, TIGHT).apply(s)
+        y_scr = SCRPreconditioner(t, TIGHT).apply(s)
         dense = t.dense()
         y_exact = sla.solve(dense, s)
         assert np.allclose(y_simple, y_exact, atol=1e-9 * np.abs(y_exact).max())
@@ -200,7 +196,7 @@ class TestSIMPLE:
 
     def test_factor_product_identity(self, tube_blocks):
         # Applying the assembled triple-product matrix to the output of
-        # simple_apply must return the input when sub-solves are tight.
+        # SIMPLEPreconditioner.apply must return the input when sub-solves are tight.
         tangent, rhs, dense, _ = tube_blocks
         pc = SIMPLEPreconditioner(tangent, TIGHT)
         y = pc.apply(rhs)
@@ -218,7 +214,7 @@ class TestSIMPLE:
 class TestBipnSchur:
     def test_no_outlets_reduces_to_sparse_approximation(self):
         t = _synthetic_tangent()
-        st = bipn_schur(t)
+        st = BipnSchur(t)
         dense = np.column_stack([st.apply(e) for e in np.eye(t.n_p)])
         assert np.allclose(dense, schur_sparse_approx(t).toarray(), rtol=1e-12)
 
@@ -227,7 +223,7 @@ class TestBipnSchur:
         a_vec = rng.normal(size=12)
         w = 3.7
         t = _synthetic_tangent(diagonal_f=True, rank_one=[(w, a_vec)], seed=9)
-        st = bipn_schur(t)
+        st = BipnSchur(t)
         dense = np.column_stack([st.apply(e) for e in np.eye(t.n_p)])
         a_full = t.F.toarray() + w * np.outer(a_vec, a_vec)
         s_true = t.D.toarray() - t.C.toarray() @ sla.solve(a_full, t.B.toarray())
@@ -236,7 +232,7 @@ class TestBipnSchur:
     def test_zero_weight_correction_vanishes(self):
         a_vec = np.ones(12)
         t = _synthetic_tangent(rank_one=[(0.0, a_vec)])
-        st = bipn_schur(t)
+        st = BipnSchur(t)
         assert not st.coeffs
         dense = np.column_stack([st.apply(e) for e in np.eye(t.n_p)])
         assert np.allclose(dense, schur_sparse_approx(t).toarray(), rtol=1e-12)
@@ -245,7 +241,7 @@ class TestBipnSchur:
         rng = np.random.default_rng(11)
         a_vec = rng.normal(size=12)
         t = _synthetic_tangent(diagonal_f=True, rank_one=[(2.5, a_vec)], seed=11)
-        st = bipn_schur(t)
+        st = BipnSchur(t)
         apply_inv = st.preconditioner()
         x = rng.normal(size=t.n_p)
         # ILU(0) of the sparse base is exact here (base is dense-diagonal
@@ -273,15 +269,15 @@ class TestBlockDiag:
         t = _synthetic_tangent(b=np.zeros((12, 6)), c=np.zeros((6, 12)))
         rng = np.random.default_rng(3)
         s = rng.normal(size=t.n)
-        y_bd = block_diag_apply(t, TIGHT, s)
-        y_scr = scr_apply(t, TIGHT, s)
+        y_bd = BlockDiagPreconditioner(t, TIGHT).apply(s)
+        y_scr = SCRPreconditioner(t, TIGHT).apply(s)
         assert np.allclose(y_bd, y_scr, atol=1e-9 * np.abs(y_scr).max())
 
     def test_zero_pressure_side(self, tube_blocks):
         tangent, *_ = tube_blocks
         s = np.zeros(tangent.n)
         s[: tangent.n_v] = 1.0
-        y = block_diag_apply(tangent, TIGHT, s)
+        y = BlockDiagPreconditioner(tangent, TIGHT).apply(s)
         assert np.all(y[tangent.n_v:] == 0.0)
 
     def test_weaker_than_scr(self, tube_blocks):
@@ -308,7 +304,7 @@ def test_build_preconditioner_rejects_unknown():
         build_preconditioner("magic", t, TIGHT)
 
 
-def test_monotone_inner_tolerance(tube_blocks=None):
+def test_monotone_inner_tolerance():
     system = small_tube_system()
     tangent, rhs = tube_tangent(system)
     outer = SolverSettings(rtol=1e-8, max_iters=200)
