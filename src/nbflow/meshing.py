@@ -132,70 +132,56 @@ class Mesh:
             "eki,kl,elj->eij", self.jinv, SIMPLEX_SCALING, self.jinv
         )
 
-    def _boundary_face_map(self):
-        """Map of each boundary face (sorted node triple) to (tet, opposite node)."""
-        faces = {}
-        opposite = ((1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2), (0, 1, 2, 3))
-        for e, tet in enumerate(self.tets):
-            for a, b, c, d in opposite:
-                key = tuple(sorted((tet[a], tet[b], tet[c])))
-                if key in faces:
-                    faces.pop(key)  # interior face, seen twice
-                else:
-                    faces[key] = (e, tet[d])
-        return faces
-
     def _validate_facets(self):
-        n_nodes = len(self.nodes)
-        boundary = self._boundary_face_map()
-        seen = {}
-        for group in self.facet_groups.values():
-            if group.tris.size and group.tris.max() >= n_nodes:
-                raise MeshError(
-                    f"facet group {group.name!r} references unknown node "
-                    f"{int(group.tris.max())}"
-                )
-            if group.tris.min(initial=0) < 0:
-                raise MeshError(f"facet group {group.name!r} has negative node index")
-            oriented = np.empty_like(group.tris)
-            normals = np.empty((len(group.tris), 3))
-            areas = np.empty(len(group.tris))
-            for i, tri in enumerate(group.tris):
-                key = tuple(sorted(tri))
-                if key in seen:
-                    raise MeshError(
-                        f"facet {key} appears in groups {seen[key]!r} and "
-                        f"{group.name!r}"
-                    )
-                if key not in boundary:
-                    raise MeshError(
-                        f"facet {key} of group {group.name!r} is not a boundary face"
-                    )
-                seen[key] = group.name
-                _, opp = boundary[key]
-                p0, p1, p2 = self.nodes[tri]
-                nvec = np.cross(p1 - p0, p2 - p0)
-                nrm = np.linalg.norm(nvec)
-                if nrm <= 0.0:
-                    raise MeshError(f"degenerate facet {key} in group {group.name!r}")
-                # Flip winding if the normal points toward the opposite node.
-                if np.dot(nvec, self.nodes[opp] - p0) > 0.0:
-                    tri = tri[[0, 2, 1]]
-                    nvec = -nvec
-                oriented[i] = tri
-                normals[i] = nvec / nrm
-                areas[i] = 0.5 * nrm
-            group.tris = oriented
-            group.normals = normals
-            group.areas = areas
-        missing = set(boundary) - set(seen)
-        if missing:
+        groups = list(self.facet_groups.values())
+        sizes = [len(g.tris) for g in groups]
+        tris = np.concatenate([g.tris for g in groups] + [np.empty((0, 3), np.int64)])
+        owner = np.repeat(np.arange(len(groups)), sizes)
+        bad = np.flatnonzero(((tris < 0) | (tris >= len(self.nodes))).any(axis=1))
+        if bad.size:
+            group = groups[owner[bad[0]]]
+            if group.tris.max() >= len(self.nodes):
+                raise MeshError(f"facet group {group.name!r} references unknown node "
+                                f"{int(group.tris.max())}")
+            raise MeshError(f"facet group {group.name!r} has negative node index")
+        keys = np.sort(tris, axis=1)
+        boundary, _, opposite = boundary_faces(self.tets)
+        # Boundary rows go first, so a facet's first equal row is its face.
+        first = _first_equal_row(np.concatenate([boundary, keys]))
+        face = first[len(boundary):]
+        earlier = _first_equal_row(keys)  # an earlier equal facet is a duplicate
+        p = self.nodes[tris]
+        nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        # Rounds as np.linalg.norm of one vector; a row-wise norm does not.
+        nrm = np.sqrt((nvec[:, None, :] @ nvec[:, :, None])[:, 0, 0])
+        bad = np.flatnonzero((earlier < np.arange(len(tris))) | (face >= len(boundary))
+                             | (nrm <= 0.0))
+        if bad.size:
+            i = bad[0]
+            key, name = tuple(keys[i].tolist()), groups[owner[i]].name
+            if earlier[i] < i:
+                raise MeshError(f"facet {key} appears in groups "
+                                f"{groups[owner[earlier[i]]].name!r} and {name!r}")
+            if face[i] >= len(boundary):
+                raise MeshError(f"facet {key} of group {name!r} is not a boundary face")
+            raise MeshError(f"degenerate facet {key} in group {name!r}")
+        missing = np.bincount(first, minlength=len(first))[:len(boundary)] == 1
+        if missing.any():
             raise MeshError(
-                f"facet groups do not close the boundary: {len(missing)} faces "
-                f"unassigned, e.g. {sorted(missing)[0]}"
+                f"facet groups do not close the boundary: {missing.sum()} faces "
+                f"unassigned, e.g. {min(map(tuple, boundary[missing].tolist()))}"
             )
-        for group in self.facet_groups.values():
-            if group.tag in ("inlet", "outlet") and len(group.tris):
+        # Flip the winding where the normal points toward the opposite node.
+        inward = self.nodes[opposite[face]] - p[:, 0]
+        flip = (nvec[:, None, :] @ inward[:, :, None])[:, 0, 0] > 0.0
+        tris[flip] = tris[flip][:, [0, 2, 1]]
+        nvec[flip] = -nvec[flip]
+        split = np.cumsum(sizes)[:-1]
+        for group, t, n, a in zip(groups, np.split(tris, split),
+                                  np.split(nvec / nrm[:, None], split),
+                                  np.split(0.5 * nrm, split)):
+            group.tris, group.normals, group.areas = t, n, a
+            if group.tag in ("inlet", "outlet") and len(t):
                 _, _, dev, diam = fit_plane(self.nodes[group.nodes])
                 if dev > PLANARITY_TOL * max(diam, 1e-300):
                     raise MeshError(
@@ -272,19 +258,45 @@ def fit_plane(points):
     return centroid, normal, dev, diam
 
 
+def _first_equal_row(rows):
+    """Index of the first row equal to each row of a 2-D integer array."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = np.empty(len(rows), dtype=np.int64)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first
+
+
+def boundary_faces(tets):
+    """The faces that exactly one tet owns, in order of first appearance.
+
+    Returns ``(tris, owner, opposite)``: sorted node triples, the owning
+    tet and its node opposite the face.  Raises ``MeshError`` for a face
+    shared by more than two tets.
+    """
+    tets = np.asarray(tets, dtype=np.int64).reshape(-1, 4)
+    faces = tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]]  # opposite nodes 0..3
+    faces = np.sort(faces, axis=2).reshape(-1, 3)
+    counts = np.bincount(_first_equal_row(faces), minlength=len(faces))
+    shared = np.flatnonzero(counts > 2)
+    if shared.size:
+        face = tuple(faces[shared[0]].tolist())
+        raise MeshError(f"face {face} is shared by {counts[shared[0]]} tets")
+    keep = np.flatnonzero(counts == 1)
+    return faces[keep], keep // 4, tets.ravel()[keep]
+
+
 def group_boundary_nodes(group: FacetGroup) -> np.ndarray:
     """Nodes on the boundary curve of a facet group.
 
     An edge belongs to the boundary curve when it appears in exactly one
     triangle of the group.
     """
-    edges = {}
-    for tri in group.tris:
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            edges[key] = edges.get(key, 0) + 1
-    rim = sorted({n for edge, cnt in edges.items() if cnt == 1 for n in edge})
-    return np.array(rim, dtype=np.int64)
+    edges = np.sort(group.tris[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+    once = np.bincount(_first_equal_row(edges), minlength=len(edges)) == 1
+    return np.unique(edges[once])
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .meshing import Mesh
+from .meshing import Mesh, boundary_faces
 
 # Prism vertex permutations that bring any local slot to position 0 while
 # preserving the vertical edges (0-3, 1-4, 2-5).
@@ -52,25 +52,21 @@ def _fix_orientation(nodes, tets):
     return tets
 
 
-def _boundary_faces(tets):
-    """Boundary faces of a tet array as a list of sorted node triples."""
-    faces = {}
-    opposite = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    for tet in tets:
-        for tri in opposite:
-            key = tuple(sorted(tet[t] for t in tri))
-            faces[key] = faces.pop(key, 0) + 1 if key in faces else 1
-    return [np.array(k) for k, cnt in faces.items() if cnt == 1]
+def _plane_groups(nodes, tets, planes, choices, eps):
+    """Boundary facet groups ``(name, tag, tris)`` in order of first appearance.
 
-
-def _group_faces(nodes, faces, classify, default=("wall", "wall")):
-    groups: dict[str, list] = {}
-    tags: dict[str, str] = {}
-    for face in faces:
-        name, tag = classify(nodes[face]) or default
-        groups.setdefault(name, []).append(face)
-        tags[name] = tag
-    return [(name, tags[name], np.array(tris)) for name, tris in groups.items()]
+    A face whose nodes all lie within ``eps`` of the first matching plane
+    ``(axis, value)`` takes that plane's entry of ``choices``, any other
+    face the last entry; a name with several tags takes its last face's.
+    """
+    tris = boundary_faces(tets)[0]
+    pts = nodes[tris]
+    on_plane = [np.all(np.abs(pts[:, :, axis] - value) < eps, axis=1) for axis, value in planes]
+    labels = np.select(on_plane, range(len(planes)), default=len(planes))
+    names = [name for name, _ in choices]
+    name_ids = np.array([names.index(name) for name in names])[labels]
+    members = {k: np.flatnonzero(name_ids == k) for k in dict.fromkeys(name_ids.tolist())}
+    return [(names[k], choices[labels[m[-1]]][1], tris[m]) for k, m in members.items()]
 
 
 def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_tags=None):
@@ -107,21 +103,15 @@ def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_t
                     tets.extend(_split_prism(bot + top))
     tets = _fix_orientation(nodes, tets)
 
-    eps = 1e-9 * max(lx, ly, lz)
-    names = {
+    planes = {
         "xmin": (0, ox), "xmax": (0, ox + lx),
         "ymin": (1, oy), "ymax": (1, oy + ly),
         "zmin": (2, oz), "zmax": (2, oz + lz),
     }
     face_tags = face_tags or {}
-
-    def classify(pts):
-        for face, (axis, value) in names.items():
-            if np.all(np.abs(pts[:, axis] - value) < eps):
-                return face_tags.get(face, (face, "wall"))
-        return None
-
-    return Mesh.from_arrays(nodes, tets, _group_faces(nodes, _boundary_faces(tets), classify))
+    choices = [face_tags.get(face, (face, "wall")) for face in planes] + [("wall", "wall")]
+    groups = _plane_groups(nodes, tets, list(planes.values()), choices, 1e-9 * max(lx, ly, lz))
+    return Mesh.from_arrays(nodes, tets, groups)
 
 
 def _unit_disk(n_r, n_theta):
@@ -171,16 +161,10 @@ def tube_mesh(radius, length, n_r=2, n_theta=8, n_z=4, radius_profile=None,
             tets.extend(_split_prism((lo + a, lo + b, lo + c, hi + a, hi + b, hi + c)))
     tets = _fix_orientation(nodes, tets)
 
-    eps = 1e-9 * max(length, radius)
-
-    def classify(pts):
-        if np.all(np.abs(pts[:, 2]) < eps):
-            return (inlet, "inlet")
-        if np.all(np.abs(pts[:, 2] - length) < eps):
-            return (outlet, "outlet")
-        return (wall, "wall")
-
-    return Mesh.from_arrays(nodes, tets, _group_faces(nodes, _boundary_faces(tets), classify))
+    choices = [(inlet, "inlet"), (outlet, "outlet"), (wall, "wall")]
+    groups = _plane_groups(nodes, tets, [(2, 0.0), (2, length)], choices,
+                           1e-9 * max(length, radius))
+    return Mesh.from_arrays(nodes, tets, groups)
 
 
 def cylinder_fixture(n_r=3, n_theta=12, n_z=10):

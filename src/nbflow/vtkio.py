@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ioutil import atomic_write
-from .meshing import Mesh, MeshError
+from .meshing import Mesh, MeshError, boundary_faces
 
 _TET_CELL_TYPE = 10
 
@@ -127,7 +127,4 @@ def load_vtk_mesh(path) -> Mesh:
     the native format for simulations with inlets and outlets.
     """
     points, tets, _ = read_vtk(path)
-    from .structured import _boundary_faces
-
-    faces = _boundary_faces(tets)
-    return Mesh.from_arrays(points, tets, [("boundary", "wall", np.array(faces))])
+    return Mesh.from_arrays(points, tets, [("boundary", "wall", boundary_faces(tets)[0])])

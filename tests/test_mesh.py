@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from nbflow.driver import BUILTIN_MESHES
 from nbflow.meshing import (
     Mesh,
     MeshError,
     SIMPLEX_SCALING,
+    boundary_faces,
     group_boundary_nodes,
     load_mesh,
     metric_tensor,
@@ -16,6 +18,7 @@ from nbflow.meshing import (
     surface_normal_weights,
 )
 from nbflow.structured import box_mesh, tube_mesh
+from nbflow.vtkio import load_vtk_mesh
 
 from conftest import reference_tet_mesh
 
@@ -67,19 +70,20 @@ def test_unclosed_boundary_rejected(tmp_path):
     bad = REF_TET.replace("surface d wall 1\n1 2 3\n", "")
     path = tmp_path / "bad.msh"
     path.write_text(bad)
-    with pytest.raises(MeshError, match="close the boundary"):
+    with pytest.raises(MeshError, match=r"close the boundary: 1 faces unassigned, e\.g\. \(1, 2, 3\)"):
         load_mesh(path)
 
 
 def test_overlapping_groups_rejected():
     nodes = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     tets = np.array([[0, 1, 2, 3]])
-    groups = [
-        ("a", "wall", np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])),
-        ("b", "wall", np.array([[0, 1, 2]])),
-    ]
-    with pytest.raises(MeshError, match="appears in groups"):
-        Mesh.from_arrays(nodes, tets, groups)
+    faces = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    across = [("a", "wall", np.array(faces)), ("b", "wall", np.array([[0, 1, 2]]))]
+    within = [("a", "wall", np.array([[0, 2, 1]] + faces))]
+    for groups, second in ((across, "b"), (within, "a")):
+        match = rf"facet \(0, 1, 2\) appears in groups 'a' and '{second}'"
+        with pytest.raises(MeshError, match=match):
+            Mesh.from_arrays(nodes, tets, groups)
 
 
 def test_interior_face_in_group_rejected():
@@ -96,6 +100,15 @@ def test_structured_cube_split():
     total_area = sum(g.area for g in mesh.facet_groups.values())
     assert total_area == pytest.approx(24.0, rel=1e-12)
     assert mesh.volumes.sum() == pytest.approx(8.0, rel=1e-12)
+
+
+def test_box_faces_merged_under_one_name():
+    tags = {"xmin": ("side", "wall"), "ymin": ("side", "wall"), "zmax": ("top", "outlet")}
+    mesh = box_mesh(2, 3, 4, lengths=(2.0, 3.0, 4.0), face_tags=tags)
+    assert set(mesh.facet_groups) == {"side", "xmax", "ymax", "zmin", "top"}
+    assert mesh.group("side").area == pytest.approx(3.0 * 4.0 + 2.0 * 4.0, rel=1e-12)
+    assert mesh.group("top").tag == "outlet"
+    assert mesh.group("top").area == pytest.approx(6.0, rel=1e-12)
 
 
 def test_metric_reference_tet_golden():
@@ -267,3 +280,88 @@ def test_facet_winding_reoriented(tmp_path):
     group = mesh.group("a")
     # The z = 0 face must point along -z regardless of file winding.
     assert np.allclose(group.normals[0], [0.0, 0.0, -1.0], atol=1e-14)
+
+
+def _boundary_faces_reference(tets):
+    """Dict loop over every tet face; returns (tris, owner, opposite)."""
+    faces = {}
+    opposite = ((1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2), (0, 1, 2, 3))
+    for e, tet in enumerate(tets):
+        for a, b, c, d in opposite:
+            key = tuple(sorted((tet[a], tet[b], tet[c])))
+            if key in faces:
+                faces.pop(key)  # interior face, seen twice
+            else:
+                faces[key] = (e, tet[d])
+    tris = np.array(list(faces), dtype=np.int64).reshape(-1, 3)
+    owner, opp = (np.array(v, dtype=np.int64) for v in zip(*faces.values()))
+    return tris, owner, opp
+
+
+def _group_boundary_nodes_reference(group):
+    edges = {}
+    for tri in group.tris:
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            edges[key] = edges.get(key, 0) + 1
+    return np.array(sorted({n for e, cnt in edges.items() if cnt == 1 for n in e}))
+
+
+@pytest.mark.parametrize("make", [
+    *BUILTIN_MESHES.values(),
+    lambda: box_mesh(8, 8, 10),
+    lambda: box_mesh(4, 4, 12, lengths=(2.0, 2.0, 6.0)),
+    lambda: tube_mesh(1.0, 2.0, n_r=2, n_theta=8, n_z=2),
+])
+def test_boundary_faces_match_reference(make):
+    mesh = make()
+    got = boundary_faces(mesh.tets)
+    want = _boundary_faces_reference(mesh.tets)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert len(got[0]) == sum(len(g.tris) for g in mesh.facet_groups.values())
+
+
+@pytest.mark.parametrize("make", BUILTIN_MESHES.values())
+def test_facet_normals_match_per_facet_norm(make):
+    # Curved walls: a row-wise norm or einsum rounds differently in the last bit.
+    mesh = make()
+    for group in mesh.facet_groups.values():
+        for tri, normal, area in zip(group.tris, group.normals, group.areas):
+            p0, p1, p2 = mesh.nodes[tri]
+            nvec = np.cross(p1 - p0, p2 - p0)
+            nrm = np.linalg.norm(nvec)
+            assert np.array_equal(normal, nvec / nrm) and area == 0.5 * nrm
+
+
+def test_group_boundary_nodes_match_reference():
+    mesh = tube_mesh(1.0, 2.0, n_r=2, n_theta=8, n_z=2)
+    for name in mesh.facet_groups:
+        group = mesh.group(name)
+        assert np.array_equal(group_boundary_nodes(group),
+                              _group_boundary_nodes_reference(group))
+
+
+# Tets 0 and 1 lie on one side of face (0, 1, 2), tet 2 on the other.
+NON_MANIFOLD_NODES = np.array(
+    [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.25, 0.25, 0.5], [0, 0, -1]]
+)
+NON_MANIFOLD_TETS = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 2, 1, 5]])
+
+
+def test_face_shared_by_three_tets_rejected(tmp_path):
+    match = r"face \(0, 1, 2\) is shared by 3 tets"
+    with pytest.raises(MeshError, match=match):
+        boundary_faces(NON_MANIFOLD_TETS)
+    with pytest.raises(MeshError, match=match):
+        Mesh.from_arrays(NON_MANIFOLD_NODES, NON_MANIFOLD_TETS,
+                         [("wall", "wall", np.array([[0, 1, 3]]))])
+    lines = ["# vtk DataFile Version 3.0", "non-manifold", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", "POINTS 6 double"]
+    lines += [" ".join(map(repr, p)) for p in NON_MANIFOLD_NODES.tolist()]
+    lines += ["CELLS 3 15"] + [" ".join(map(str, [4, *t])) for t in NON_MANIFOLD_TETS]
+    lines += ["CELL_TYPES 3"] + ["10"] * 3
+    path = tmp_path / "non_manifold.vtk"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=match):
+        load_vtk_mesh(path)
