@@ -41,6 +41,9 @@ SIMPLEX_SCALING = (2.0 ** (1.0 / 3.0) / 2.0) * np.array(
 # Relative tolerance for the planarity of inlet/outlet caps.
 PLANARITY_TOL = 1.0e-6
 
+# Point pairs per block of the pairwise distances in ``fit_plane``.
+_DIAMETER_BLOCK = 1 << 17
+
 
 class MeshError(ValueError):
     """Raised for malformed mesh files or invalid mesh topology."""
@@ -88,6 +91,12 @@ class Mesh:
             raise MeshError("nodes must be an (N, 3) array")
         if self.tets.ndim != 2 or self.tets.shape[1] != 4:
             raise MeshError("tets must be an (M, 4) array")
+        bad = np.flatnonzero(((self.tets < 0) | (self.tets >= len(self.nodes))).any(axis=1))
+        if bad.size:
+            raise MeshError(
+                f"element {bad[0]} references a node outside [0, {len(self.nodes)}): "
+                f"{self.tets[bad[0]].tolist()}"
+            )
         self.facet_groups: dict[str, FacetGroup] = facet_groups
         self._build_geometry()
         self._validate_facets()
@@ -251,10 +260,13 @@ def fit_plane(points):
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     normal = vt[-1]
     dev = float(np.abs(centered @ normal).max()) if len(pts) else 0.0
+    # Pairwise distances a block of rows at a time (upper triangle only),
+    # so memory stays bounded on large caps.
     diam = 0.0
-    if len(pts) > 1:
-        diff = pts[:, None, :] - pts[None, :, :]
-        diam = float(np.sqrt((diff**2).sum(axis=2)).max())
+    rows = max(1, _DIAMETER_BLOCK // max(len(pts), 1))
+    for i in range(0, len(pts) - 1, rows):
+        diff = pts[i:i + rows, None, :] - pts[None, i:, :]
+        diam = max(diam, float(np.sqrt((diff**2).sum(axis=2)).max()))
     return centroid, normal, dev, diam
 
 

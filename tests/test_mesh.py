@@ -1,14 +1,17 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nbflow import meshing
 from nbflow.driver import BUILTIN_MESHES
 from nbflow.meshing import (
     Mesh,
     MeshError,
     SIMPLEX_SCALING,
     boundary_faces,
+    fit_plane,
     group_boundary_nodes,
     load_mesh,
     metric_tensor,
@@ -365,3 +368,44 @@ def test_face_shared_by_three_tets_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MeshError, match=match):
         load_vtk_mesh(path)
+
+
+@pytest.mark.parametrize("bad_node", [7, -1])
+def test_tet_index_out_of_range_rejected(bad_node):
+    mesh = reference_tet_mesh()
+    tets = np.array([[0, 1, 2, bad_node]])
+    groups = [(name, g.tag, g.tris) for name, g in mesh.facet_groups.items()]
+    with pytest.raises(MeshError, match=r"element 0 references a node outside \[0, 4\)"):
+        Mesh.from_arrays(mesh.nodes, tets, groups)
+
+
+def _pairwise_diameter(pts):
+    return float(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)).max())
+
+
+@pytest.mark.parametrize("block", [1, 5, 40, 1 << 17])
+def test_fit_plane_diameter_equals_full_pairwise_max(monkeypatch, block):
+    monkeypatch.setattr(meshing, "_DIAMETER_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (2, 3, 11):
+        cloud = rng.normal(size=(n, 3)) * [3.0, 1.0, 1e-3]
+        # Every pair of rows in turn holds the diameter.
+        for i, j in itertools.combinations(range(n), 2):
+            pts = cloud.copy()
+            pts[i] += 50.0
+            pts[j] -= 50.0
+            assert fit_plane(pts)[3] == _pairwise_diameter(pts)
+    pts = rng.normal(size=(1000, 3))
+    assert fit_plane(pts)[3] == _pairwise_diameter(pts)
+    assert fit_plane(pts[:1])[3] == 0.0
+
+
+def test_fit_plane_memory_bounded():
+    pts = np.random.default_rng(0).normal(size=(2000, 3))
+    tracemalloc.start()
+    try:
+        fit_plane(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6  # the full pairwise difference array alone is 96 MB
