@@ -393,11 +393,14 @@ class NavierStokesAssembler:
         ``gamma``.  Blocks are restricted to the free dofs.
 
         The terms of F are grouped by index structure: one batched matmul
-        for the ``dtau_M`` and ``dtau_C`` terms, one outer product for the
-        ``N_a,j (x) Y_bi`` terms, one coefficient each for ``gradv_ij``
-        and ``(gradv gradv)_ij``, and one scalar kernel for every
-        ``delta_ij`` term.  F drops the entries that sum to an exact
-        zero; B, C and D keep their full element pattern.
+        for the ``dtau_M`` and grad-div terms, one outer product for the
+        ``N_a,j (x) Y_bi`` terms (viscous ``N_b,i N_a,j`` included), one
+        coefficient each for ``gradv_ij`` and ``(gradv gradv)_ij``, and
+        one scalar kernel for every ``delta_ij`` term.  F, B, C and D keep
+        their structural pattern: every free entry that an element or a
+        backflow triangle touches is stored, zero sums included, so the
+        patterns, and the ILU(0) pattern of F, are the same for every
+        state.
         """
         lam, lamT = TET4_BARY, TET4_BARY.T
         s = self._volume_state(v, vdot, p, dt, time)
@@ -423,19 +426,23 @@ class NavierStokesAssembler:
 
         # F: momentum rows, velocity columns, (E, a, i, b, j).  The three
         # dtau_M terms (cross 1, cross 2, subgrid stress) against
-        # dtau_M_qj lam_qb, and the dtau_C grad-div term N_a,i (x) Z_bj.
+        # dtau_M_qj lam_qb, and the grad-div terms (dtau_C and tau_C)
+        # N_a,i (x) Z_bj.
         x_dt = (tdn - 2.0 * tau[..., None] * rdn).transpose(0, 2, 1)[:, :, None, :]
         x_dt = x_dt * rM.transpose(0, 2, 1)[:, None]
         x_dt -= lamT[:, None, :] * gr.transpose(0, 2, 1)[:, None]
         x_dt *= (afgdt * rho) * w[:, None, None, None]
         y_dt = (lam[:, :, None] * s["dtau_m"][:, :, None, :]).reshape(E, 4, 12)
         z = (afgdt * w * s["divv"])[:, None, None] * (lamT @ s["dtau_c"])
+        z += (afgdt * w * s["tau_c"].sum(axis=1))[:, None, None] * dN
         f_el = np.concatenate([x_dt.reshape(E, 12, 4), dN.reshape(E, 12, 1)], axis=2) \
             @ np.concatenate([y_dt, z.reshape(E, 1, 12)], axis=1)
         f_el = f_el.reshape(E, 4, 3, 4, 3)
-        # N_a,j (x) Y1_bi and (gradv^T dN_a)_j (x) Y2_bi.
+        # N_a,j (x) Y1_bi, the viscous N_b,i N_a,j included, and
+        # (gradv^T dN_a)_j (x) Y2_bi.
         y1 = afgdt * rho * wt[..., None] * lam - rho**2 * wt2[..., None] * g
         y1 = y1.transpose(0, 2, 1) @ rM
+        y1 += (afgdt * mu * self.vol)[:, None, None] * dN
         y2 = (-afgdt * rho**2) * (wt2[..., None] * lam).transpose(0, 2, 1) @ rM
         outer = np.stack([dN, gtdn], axis=3).reshape(E, 12, 2) \
             @ np.stack([y1, y2], axis=1).reshape(E, 2, 12)
@@ -452,23 +459,6 @@ class NavierStokesAssembler:
         scalar += am * rho * nn + (afgdt * mu * self.vol)[:, None, None] * dndn
         for i in range(3):
             f_el[:, :, i, :, i] += scalar
-        # Viscous N_b,i N_a,j and grad-div tau_C N_a,i N_b,j.  In a fluid
-        # at rest these are the only terms off the i == j diagonal, and
-        # their sums over elements may cancel.  They are rounded as in
-        # the term-by-term reference assembly (``_tangent_reference`` in
-        # the tests), and _BlockScatter sums in its order, so the entries
-        # that cancel to an exact zero, and leave the patterns of F and
-        # of its ILU(0) factors, do not depend on this grouping.
-        wtc_dn = (w[:, None] * s["tau_c"])[:, :, None, None] * dN[:, None]
-        exact = dN[:, :, :, None, None] * wtc_dn[:, 0, None, None]
-        term = np.empty_like(exact)
-        for q in range(1, len(lam)):
-            exact += np.multiply(dN[:, :, :, None, None], wtc_dn[:, q, None, None], out=term)
-        np.multiply(dN[:, :, None, None, :], dNt[:, None, :, :, None], out=term)
-        term *= (mu * self.vol)[:, None, None, None, None]
-        exact += term
-        exact *= afgdt
-        f_el += exact
 
         # B: momentum rows, pressure columns, (E, a, i, b).
         l_tau = wt @ lam  # (E, a)
@@ -488,10 +478,8 @@ class NavierStokesAssembler:
         d_el = (afgdt * wt.sum(axis=1))[:, None, None] * dndn
 
         scatter = self._scatter
-        F = scatter["F"].matrix(f_el, self._backflow_tangent(v, afgdt))
-        F.eliminate_zeros()
         tangent = BlockTangent(
-            F=F,
+            F=scatter["F"].matrix(f_el, self._backflow_tangent(v, afgdt)),
             B=scatter["B"].matrix(b_el),
             C=scatter["C"].matrix(c_el.reshape(E, 4, 12)),
             D=scatter["D"].matrix(d_el),
@@ -534,34 +522,18 @@ class _BlockScatter:
     ``col_free`` map global dofs to free indices, -1 for constrained
     ones; entries in a constrained row or column are dropped.
 
-    Each segment is summed on its own and the sums are added, as in a
-    sparse sum of separately assembled COO matrices.  Within a segment,
-    duplicates are summed in the order scipy's COO -> CSR conversion
-    sums them: rows bucketed in input order, then each row sorted by
-    column with ``csr_sort_indices``.  That order depends on the pattern
-    alone, so it is found once, by sorting entry numbers.
+    The pattern is structural: it holds every free ``(row, col)`` pair of
+    every segment, whatever the entry values sum to, so one pattern
+    serves every state.  Duplicates are summed in entry order.
     """
 
     def __init__(self, segments, row_free, col_free):
         n_rows, n_cols = int(row_free.max()) + 1, int(col_free.max()) + 1
-        full_shape = (len(row_free), len(col_free))
-        takes, keys = [], []
-        for rows, cols in segments:
-            # Each row is sorted on its own, so constrained rows can go first.
-            entries = np.flatnonzero(row_free[rows] >= 0)
-            bucketed = entries[np.argsort(rows[entries], kind="stable")]
-            indptr = np.cumsum(np.bincount(rows[entries], minlength=full_shape[0]))
-            ids = sp.csr_matrix(
-                (bucketed.astype(float), cols[bucketed], np.concatenate(([0], indptr))),
-                shape=full_shape,
-            )
-            ids.sort_indices()
-            order = ids.data.astype(np.intp)
-            c = col_free[cols[order]]
-            takes.append(order[c >= 0])
-            keys.append(row_free[rows[takes[-1]]] * n_cols + c[c >= 0])
-        key, pos = np.unique(np.concatenate(keys), return_inverse=True)
-        self.parts = list(zip(takes, np.split(pos, np.cumsum([len(t) for t in takes[:-1]]))))
+        rows = row_free[np.concatenate([r for r, _ in segments])]
+        cols = col_free[np.concatenate([c for _, c in segments])]
+        self.take = np.flatnonzero((rows >= 0) & (cols >= 0))
+        key, self.pos = np.unique(rows[self.take] * n_cols + cols[self.take],
+                                  return_inverse=True)
         self.nnz = len(key)
         indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols)
         template = sp.csr_matrix(
@@ -571,9 +543,8 @@ class _BlockScatter:
 
     def matrix(self, *values) -> sp.csr_matrix:
         """CSR block from the element entries of each segment."""
-        data = 0.0
-        for (take, pos), vals in zip(self.parts, values):
-            data = data + np.bincount(pos, weights=vals.ravel()[take], minlength=self.nnz)
+        vals = np.concatenate([v.ravel() for v in values])[self.take]
+        data = np.bincount(self.pos, weights=vals, minlength=self.nnz)
         return sp.csr_matrix(
             (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
         )

@@ -214,39 +214,6 @@ def run_simulation(config: SimulationConfig, output_dir=None, deterministic=Fals
     snapshots = []
     all_converged = True
     reports = []
-    t = 0.0
-    for step in range(1, config.steps + 1):
-        state, report = advance_step(system, state, t, config.dt)
-        t += config.dt
-        reports.append(report)
-        all_converged &= report.converged
-        row = [
-            step,
-            t,
-            report.iterations,
-            report.converged,
-            report.residual_norms[0] if report.residual_norms else 0.0,
-            report.residual_norms[-1] if report.residual_norms else 0.0,
-            sum(s["outer_iterations"] for s in report.linear_solves),
-            sum(s["inner_iterations"] for s in report.linear_solves),
-            0.0 if deterministic else report.assembly_time,
-            0.0 if deterministic else report.solve_time,
-        ]
-        for name in outlet_names:
-            row += [
-                report.flow_rates[name],
-                report.pressures[name],
-                report.pressures[name] / MMHG,  # derived display column
-            ]
-        step_rows.append(row)
-        for corrector, solve in enumerate(report.linear_solves, start=1):
-            for it, rel in enumerate(solve["history"]):
-                conv_rows.append([step, corrector, it, rel])
-        if config.output.cadence and step % config.output.cadence == 0:
-            snap = os.path.join(out_dir, f"fields_{step:06d}.vtk")
-            export_vtk(snap, mesh, {"velocity": state.v, "pressure": state.p})
-            snapshots.append(snap)
-
     header = [
         "step", "time", "newton_iterations", "converged", "residual_initial",
         "residual_final", "outer_iterations", "inner_iterations",
@@ -255,13 +222,48 @@ def run_simulation(config: SimulationConfig, output_dir=None, deterministic=Fals
     for name in outlet_names:
         header += [f"flow_{name}", f"pressure_{name}", f"pressure_{name}_mmhg"]
     steps_csv = os.path.join(out_dir, "steps.csv")
-    _write_csv(steps_csv, header, step_rows)
     convergence_csv = os.path.join(out_dir, "convergence.csv")
-    _write_csv(
-        convergence_csv,
-        ["step", "corrector", "iteration", "relative_residual"],
-        conv_rows,
-    )
+    t = 0.0
+    try:
+        for step in range(1, config.steps + 1):
+            state, report = advance_step(system, state, t, config.dt)
+            t += config.dt
+            reports.append(report)
+            all_converged &= report.converged
+            row = [
+                step,
+                t,
+                report.iterations,
+                report.converged,
+                report.residual_norms[0] if report.residual_norms else 0.0,
+                report.residual_norms[-1] if report.residual_norms else 0.0,
+                sum(s["outer_iterations"] for s in report.linear_solves),
+                sum(s["inner_iterations"] for s in report.linear_solves),
+                0.0 if deterministic else report.assembly_time,
+                0.0 if deterministic else report.solve_time,
+            ]
+            for name in outlet_names:
+                row += [
+                    report.flow_rates[name],
+                    report.pressures[name],
+                    report.pressures[name] / MMHG,  # derived display column
+                ]
+            step_rows.append(row)
+            for corrector, solve in enumerate(report.linear_solves, start=1):
+                for it, rel in enumerate(solve["history"]):
+                    conv_rows.append([step, corrector, it, rel])
+            if config.output.cadence and step % config.output.cadence == 0:
+                snap = os.path.join(out_dir, f"fields_{step:06d}.vtk")
+                export_vtk(snap, mesh, {"velocity": state.v, "pressure": state.p})
+                snapshots.append(snap)
+    finally:
+        # A step that raises still leaves the finished steps on disk.
+        _write_csv(steps_csv, header, step_rows)
+        _write_csv(
+            convergence_csv,
+            ["step", "corrector", "iteration", "relative_residual"],
+            conv_rows,
+        )
     final_vtk = os.path.join(out_dir, "final_state.vtk")
     export_vtk(final_vtk, mesh, {"velocity": state.v, "pressure": state.p})
     final_json = os.path.join(out_dir, "final_state.json")

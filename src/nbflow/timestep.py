@@ -12,6 +12,7 @@ their state at the new time level.
 
 from __future__ import annotations
 
+import logging
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
@@ -23,6 +24,8 @@ from .krylov import SolverSettings, fgmres
 from .lumped import LumpedModel, advance_outlet, initial_pressure, tangent_m
 from .meshing import Mesh, surface_flow_rate
 from .precond import NestedSettings, build_preconditioner
+
+log = logging.getLogger("nbflow.timestep")
 
 
 @dataclass(frozen=True)
@@ -288,6 +291,12 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
         )
         sol, lin_stats = fgmres(tangent.apply, pc.apply, -r, system.linear.outer)
         report.solve_time += _time.perf_counter() - tic
+        if lin_stats.stagnated:
+            log.warning("outer FGMRES stagnated in the step from t = %.6g "
+                        "(relative residual %.3e)", t, lin_stats.relative_residual)
+        if pc.stats.failures:
+            log.warning("%d preconditioner sub-solves failed in the step from t = %.6g; "
+                        "first: %s", len(pc.stats.failures), t, pc.stats.failures[0])
         report.linear_solves.append(
             {
                 "outer_iterations": lin_stats.iterations,

@@ -85,19 +85,15 @@ def read_vtk(path):
     m = int(tokens[pos]); total = int(tokens[pos + 1]); pos += 2
     raw = np.array(tokens[pos:pos + total], dtype=np.int64)
     pos += total
-    cells = []
-    at = 0
-    for _ in range(m):
-        k = raw[at]
-        cells.append(raw[at + 1:at + 1 + k])
-        at += 1 + k
+    if total != 5 * m or len(raw) != total or np.any(raw[::5] != 4):
+        raise MeshError(f"{path}: CELLS must list {m} cells of 4 nodes as '4 i j k l'")
+    tets = raw.reshape(m, 5)[:, 1:].copy()
     seek("CELL_TYPES")
     pos += 1
     pos += 1  # count
     types = np.array(tokens[pos:pos + m], dtype=int)
     pos += m
-    tets = [c for c, t in zip(cells, types) if t == _TET_CELL_TYPE]
-    if len(tets) != m:
+    if len(types) != m or np.any(types != _TET_CELL_TYPE):
         raise MeshError(f"{path}: mesh contains non-tetrahedral cells")
     point_data = {}
     while pos < len(tokens):
@@ -116,7 +112,7 @@ def read_vtk(path):
             pos += 3 * n
         else:
             pos += 1
-    return points, np.array(tets, dtype=np.int64), point_data
+    return points, tets, point_data
 
 
 def load_vtk_mesh(path) -> Mesh:
@@ -127,4 +123,7 @@ def load_vtk_mesh(path) -> Mesh:
     the native format for simulations with inlets and outlets.
     """
     points, tets, _ = read_vtk(path)
-    return Mesh.from_arrays(points, tets, [("boundary", "wall", boundary_faces(tets)[0])])
+    try:
+        return Mesh.from_arrays(points, tets, [("boundary", "wall", boundary_faces(tets)[0])])
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from None

@@ -14,7 +14,7 @@ from nbflow.driver import (
     run_simulation,
 )
 from nbflow.lumped import Resistance, Windkessel
-from nbflow.meshing import load_mesh
+from nbflow.meshing import MeshError, load_mesh
 from nbflow.structured import box_mesh, tube_mesh
 from nbflow.vtkio import export_vtk, load_vtk_mesh, read_vtk
 
@@ -133,6 +133,19 @@ class TestVtk:
         assert np.array_equal(cells, mesh.tets)
         assert np.array_equal(data["velocity"], v)
 
+    @pytest.mark.parametrize("cells", [
+        ["CELLS 2 9", "4 0 1 2 3", "3 0 1 2"],  # a triangle typed as a tet
+        ["CELLS 2 10", "3 0 1 2", "5 0 1 2 3 0"],  # right total, wrong counts
+    ])
+    def test_malformed_cells_rejected(self, tmp_path, cells):
+        lines = ["# vtk DataFile Version 3.0", "bad cells", "ASCII",
+                 "DATASET UNSTRUCTURED_GRID", "POINTS 4 double",
+                 "0 0 0", "1 0 0", "0 1 0", "0 0 1", *cells, "CELL_TYPES 2", "10", "10"]
+        path = tmp_path / "bad_cells.vtk"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=r"bad_cells\.vtk: CELLS must list 2 cells"):
+            read_vtk(path)
+
     def test_vtk_mesh_import(self, tmp_path):
         mesh = box_mesh(2, 2, 2)
         path = tmp_path / "box.vtk"
@@ -176,6 +189,30 @@ class TestRunSimulation:
         for f1, f2 in ((a1.steps_csv, a2.steps_csv),
                        (a1.convergence_csv, a2.convergence_csv)):
             assert open(f1, "rb").read() == open(f2, "rb").read()
+
+    def test_failed_step_leaves_finished_steps(self, tmp_path, monkeypatch):
+        from nbflow import driver
+        from nbflow.timestep import NewtonDivergenceError
+
+        real_step = driver.advance_step
+        calls = []
+
+        def diverge_on_third(system, state, t, dt):
+            calls.append(t)
+            if len(calls) == 3:
+                raise NewtonDivergenceError("diverged")
+            return real_step(system, state, t, dt)
+
+        monkeypatch.setattr(driver, "advance_step", diverge_on_third)
+        cfg = parse_config(BASE_CONFIG.format(steps=4, flow=10.0,
+                                              outdir=tmp_path / "fail", cadence=0))
+        with pytest.raises(NewtonDivergenceError):
+            run_simulation(cfg, deterministic=True)
+        steps = (tmp_path / "fail" / "steps.csv").read_text().splitlines()
+        assert len(steps) == 1 + 2
+        assert [row.split(",")[0] for row in steps[1:]] == ["1", "2"]
+        conv = (tmp_path / "fail" / "convergence.csv").read_text().splitlines()
+        assert {row.split(",")[0] for row in conv[1:]} <= {"1", "2"}
 
     def test_csv_schema(self, tmp_path):
         cfg = parse_config(BASE_CONFIG.format(steps=2, flow=10.0,

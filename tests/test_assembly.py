@@ -22,6 +22,7 @@ from nbflow.timestep import (
 )
 
 from conftest import RHO, MU, reference_tet_mesh, two_tet_mesh_all_outlets
+from test_krylov import assert_matches_ilu0_reference
 
 REF_G = SIMPLEX_SCALING  # metric of the reference tet (identity parent map)
 
@@ -337,10 +338,14 @@ def _tangent_reference(asm, v, vdot, p, outlet_pressures, m_coeffs, dt, alpha,
     cols_pp = np.tile(conn, (1, 4)).ravel()
 
     n3 = 3 * asm.n_nodes
+    # One COO matrix over the element and backflow entries, so F keeps the
+    # entries that cancel to zero, as B, C and D do.
+    bf_rows, bf_cols, bf_vals = _backflow_tangent_reference(asm, v, afgdt)
     f_full = sp.coo_matrix(
-        (f_el.ravel(), (rows_vv, cols_vv)), shape=(n3, n3)
+        (np.concatenate([f_el.ravel(), bf_vals]),
+         (np.concatenate([rows_vv, bf_rows]), np.concatenate([cols_vv, bf_cols]))),
+        shape=(n3, n3),
     ).tocsr()
-    f_full += _backflow_tangent_reference(asm, v, afgdt)
     b_full = sp.coo_matrix(
         (b_el.ravel(), (rows_vp, cols_vp)), shape=(n3, asm.n_nodes)
     ).tocsr()
@@ -367,12 +372,12 @@ def _tangent_reference(asm, v, vdot, p, outlet_pressures, m_coeffs, dt, alpha,
 
 
 def _backflow_tangent_reference(asm, v, afgdt):
-    n3 = 3 * asm.n_nodes
-    if asm.beta == 0.0 or not asm._bf_groups:
-        return sp.csr_matrix((n3, n3))
+    """Rows, columns and values of the backflow entries of F."""
     lamt = TRI3_BARY
     eye = np.eye(3)
-    rows, cols, vals = [], [], []
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    if asm.beta == 0.0:
+        return rows[0], cols[0], vals[0]
     for group, tdofs, uq, un in asm._backflow_surface_state(v):
         wt = group.areas / len(lamt)
         un_neg = np.minimum(un, 0.0)
@@ -384,14 +389,12 @@ def _backflow_tangent_reference(asm, v, afgdt):
         rows.append(np.repeat(tdofs, 9, axis=1).ravel())
         cols.append(np.tile(tdofs, (1, 9)).ravel())
         vals.append(k_el.reshape(K, -1).ravel())
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n3, n3),
-    ).tocsr()
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-@pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "no_outlets"])
-def test_tangent_matches_einsum_reference(case):
+def _tube_tangent_case(case):
+    """Assembler on the tube fixture and tangent arguments for ``case``:
+    a fluid at rest (``zero``) or a seeded flowing state (the others)."""
     mesh = tube_mesh(1.0, 3.0, n_r=2, n_theta=6, n_z=4)
     dofmap = DofMap.from_mesh(mesh, ["inlet", "wall"])
     outlets = [] if case == "no_outlets" else ["outlet"]
@@ -407,10 +410,17 @@ def test_tangent_matches_einsum_reference(case):
         p = 10.0 * rng.normal(size=n)
     args = (v, vdot, p, {k: 2.0 for k in outlets}, {k: 40.0 for k in outlets},
             1e-3, genalpha_params(0.5))
+    return asm, args
+
+
+@pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "no_outlets"])
+def test_tangent_matches_einsum_reference(case):
+    asm, args = _tube_tangent_case(case)
+    v = args[0]
     ref = _tangent_reference(asm, *args, time=0.1)
     new = asm.tangent(*args, time=0.1)
     if case == "backflow":
-        assert np.abs(_backflow_tangent_reference(asm, v, 1.0).data).max() > 0.0
+        assert np.abs(_backflow_tangent_reference(asm, v, 1.0)[2]).max() > 0.0
     for name in "FBCD":
         expected, got = getattr(ref, name).copy(), getattr(new, name)
         expected.sort_indices()
@@ -420,12 +430,25 @@ def test_tangent_matches_einsum_reference(case):
         scale = np.abs(expected.data).max()
         assert np.abs(got.data - expected.data).max() <= 1e-13 * scale, name
     if case == "zero":
-        # F drops the entries that cancel to an exact zero; B keeps its zeros.
-        assert new.F.nnz < asm._scatter["F"].nnz
+        # F and B keep the entries that cancel to an exact zero.
+        assert new.F.nnz == asm._scatter["F"].nnz
+        assert np.any(new.F.data == 0.0)
         assert np.any(new.B.data == 0.0)
     assert len(new.rank_one) == len(ref.rank_one)
     for (w_new, a_new), (w_ref, a_ref) in zip(new.rank_one, ref.rank_one):
         assert w_new == w_ref and np.array_equal(a_new, a_ref)
+
+
+def test_velocity_block_pattern_is_structural():
+    asm, rest = _tube_tangent_case("zero")
+    _, flowing = _tube_tangent_case("backflow")
+    at_rest = asm.tangent(*rest, time=0.1).F
+    moving = asm.tangent(*flowing, time=0.1).F
+    assert np.any(at_rest.data == 0.0)
+    assert np.array_equal(at_rest.indptr, moving.indptr)
+    assert np.array_equal(at_rest.indices, moving.indices)
+    # ILU(0) factors a pattern that holds the entries that cancel to zero.
+    assert_matches_ilu0_reference(at_rest)
 
 
 def test_stokes_limit_symmetry():

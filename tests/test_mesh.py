@@ -366,7 +366,7 @@ def test_face_shared_by_three_tets_rejected(tmp_path):
     lines += ["CELL_TYPES 3"] + ["10"] * 3
     path = tmp_path / "non_manifold.vtk"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshError, match=match):
+    with pytest.raises(MeshError, match=r"non_manifold\.vtk: " + match):
         load_vtk_mesh(path)
 
 

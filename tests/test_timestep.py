@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,3 +220,30 @@ def test_nonconvergence_reported_when_tolerated():
     _, report = advance_step(system, state, 0.0, 3.15e-3)
     assert not report.converged
     assert report.iterations == 2
+
+
+def test_solver_trouble_logged(caplog, monkeypatch):
+    from nbflow import timestep
+
+    system = cylinder_system(n_r=2, n_theta=8, n_z=4)
+    # Sub-solves capped at one iteration cannot reach their tolerance.
+    one_iter = SolverSettings(rtol=1e-12, max_iters=1)
+    system.linear = LinearSolveConfig(
+        outer=system.linear.outer,
+        nested=NestedSettings(a_solve=one_iter, s_solve=one_iter, inner_rtol=1e-12),
+    )
+    real_fgmres = timestep.fgmres
+
+    def stagnating_fgmres(*args):
+        x, stats = real_fgmres(*args)
+        stats.stagnated = True
+        return x, stats
+
+    monkeypatch.setattr(timestep, "fgmres", stagnating_fgmres)
+    with caplog.at_level(logging.WARNING, logger="nbflow.timestep"):
+        _, report = advance_step(system, system.initial_state(), 0.0, 3.15e-3)
+    assert report.linear_solves[0]["sub_solve_failures"] > 0
+    text = caplog.text
+    assert "outer FGMRES stagnated in the step from t = 0" in text
+    assert "preconditioner sub-solves failed in the step from t = 0; first: " in text
+    assert "no convergence in 1 iterations" in text
