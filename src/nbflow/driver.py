@@ -223,6 +223,9 @@ def run_simulation(config: SimulationConfig, output_dir=None, deterministic=Fals
         header += [f"flow_{name}", f"pressure_{name}", f"pressure_{name}_mmhg"]
     steps_csv = os.path.join(out_dir, "steps.csv")
     convergence_csv = os.path.join(out_dir, "convergence.csv")
+    failure_txt = os.path.join(out_dir, "failure.txt")
+    if os.path.exists(failure_txt):
+        os.remove(failure_txt)  # left by an earlier run into this directory
     t = 0.0
     try:
         for step in range(1, config.steps + 1):
@@ -256,6 +259,10 @@ def run_simulation(config: SimulationConfig, output_dir=None, deterministic=Fals
                 snap = os.path.join(out_dir, f"fields_{step:06d}.vtk")
                 export_vtk(snap, mesh, {"velocity": state.v, "pressure": state.p})
                 snapshots.append(snap)
+    except Exception as exc:
+        atomic_write(failure_txt, f"step: {step}\nerror: {type(exc).__name__}\n"
+                                  f"message: {exc}\n")
+        raise
     finally:
         # A step that raises still leaves the finished steps on disk.
         _write_csv(steps_csv, header, step_rows)

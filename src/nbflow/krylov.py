@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -267,14 +268,29 @@ class ILU0Preconditioner:
     ``upper`` are bitwise equal to its factors.  A zero pivot is replaced
     by ``1e-12 * max|a|``, sets ``shifted`` and is logged as a warning.
 
-    ``lower`` (unit diagonal) and ``upper`` are CSR.  Setup also prepares
-    them once in the form ``spsolve_triangular`` consumes: ``L`` as CSC
-    and ``U`` as CSC scaled to a unit diagonal, so an apply is two unit
-    triangular solves and one diagonal scale.  The prepared arrays are
-    read-only because every apply shares them.
+    ``lower`` (unit diagonal) and ``upper`` are CSR.  An apply is one
+    SuperLU solve of ``L (U D^-1) w = x``, ``D = diag(U)``, then the
+    scale ``D^-1 w``; ``x`` is one right-hand side or a 2-D array with one
+    per column.  Setup prepares the solve's arguments once: ``L`` as CSC
+    with its unit diagonal stored, and the strictly upper part of
+    ``U D^-1`` as CSC (SuperLU reads U's diagonal from L's, here all
+    ones), with ``intc`` indices, read-only because every apply shares
+    them.  The solve is scipy's private ``_superlu.gstrs``, which
+    ``spsolve_triangular`` ends in: called directly, it skips that
+    wrapper's per-call factor copy, ``setdiag`` and identity allocation,
+    about ten times the cost of the solve on the factors built here, and
+    solves both triangles in one call.  Its results are bitwise equal to
+    two ``spsolve_triangular`` calls, which the tests check.
     """
 
     def __init__(self, matrix):
+        try:
+            from scipy.sparse.linalg._dsolve._superlu import gstrs
+        except ImportError as exc:
+            raise ImportError(
+                "ILU0Preconditioner needs scipy>=1.17, whose "
+                "scipy.sparse.linalg._dsolve._superlu provides gstrs"
+            ) from exc
         A = sp.csr_matrix(matrix, copy=True)
         A.sum_duplicates()
         n = A.shape[0]
@@ -318,21 +334,26 @@ class ILU0Preconditioner:
         self.lower = sp.tril(factored, k=-1).tocsr() + sp.eye(n, format="csr")
         self.upper = sp.triu(factored, k=0).tocsr()
         self._inv_diag = 1.0 / data[diag_pos]
-        self._lower_csc = self.lower.tocsc()
-        self._unit_upper_csc = self.upper.tocsc()
-        self._unit_upper_csc.data *= np.repeat(self._inv_diag,
-                                               np.diff(self._unit_upper_csc.indptr))
-        for m in (self._lower_csc, self._unit_upper_csc):
-            for arr in (m.data, m.indices, m.indptr):
+        upper_csc = sp.triu(factored, k=1).tocsc()
+        upper_csc.data *= np.repeat(self._inv_diag, np.diff(upper_csc.indptr))
+        args = ["N"]
+        for m in (self.lower.tocsc(), upper_csc):
+            arrays = (m.data, m.indices.astype(np.intc), m.indptr.astype(np.intc))
+            for arr in arrays:
                 arr.flags.writeable = False
+            args += [n, m.nnz, *arrays]
         self._inv_diag.flags.writeable = False
+        self._solve = partial(gstrs, *args)
 
     def apply(self, x):
-        from scipy.sparse.linalg import spsolve_triangular
-
-        y = spsolve_triangular(self._lower_csc, x, lower=True, unit_diagonal=True)
-        w = spsolve_triangular(self._unit_upper_csc, y, lower=False, unit_diagonal=True)
-        return self._inv_diag * w
+        # gstrs leaves x unchanged and returns a new Fortran-ordered array.
+        w, info = self._solve(x)
+        if info:
+            raise np.linalg.LinAlgError(f"SuperLU triangular solve failed (info={info})")
+        # C order, like a column_stack of 1-D applies: BLAS products of
+        # the result then round as they would column by column.
+        scale = self._inv_diag if w.ndim == 1 else self._inv_diag[:, None]
+        return np.multiply(scale, w, order="C")
 
     __call__ = apply
 

@@ -131,7 +131,7 @@ class BipnSchur:
         ilu = ILU0Preconditioner(self.base)
         if not self.coeffs:
             return ilu
-        mu = np.column_stack([ilu.apply(u) for u in self.u_vectors])
+        mu = ilu.apply(np.column_stack(self.u_vectors))
         vt = np.column_stack(self.v_vectors).T
         cap = np.linalg.inv(np.diag(1.0 / np.asarray(self.coeffs)) + vt @ mu)
 

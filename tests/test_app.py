@@ -213,6 +213,12 @@ class TestRunSimulation:
         assert [row.split(",")[0] for row in steps[1:]] == ["1", "2"]
         conv = (tmp_path / "fail" / "convergence.csv").read_text().splitlines()
         assert {row.split(",")[0] for row in conv[1:]} <= {"1", "2"}
+        failure = (tmp_path / "fail" / "failure.txt").read_text()
+        assert failure == "step: 3\nerror: NewtonDivergenceError\nmessage: diverged\n"
+        # A later successful run into the same directory removes the stale reason.
+        monkeypatch.setattr(driver, "advance_step", real_step)
+        run_simulation(cfg, deterministic=True)
+        assert not (tmp_path / "fail" / "failure.txt").exists()
 
     def test_csv_schema(self, tmp_path):
         cfg = parse_config(BASE_CONFIG.format(steps=2, flow=10.0,

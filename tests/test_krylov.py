@@ -1,4 +1,5 @@
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -76,8 +77,26 @@ def _ilu0_reference(matrix):
     return lower, upper, shifted
 
 
+def _ilu0_public_apply(pc, b):
+    """``pc``'s apply through two public ``spsolve_triangular`` calls."""
+    from scipy.sparse.linalg import spsolve_triangular
+
+    inv_diag = 1.0 / pc.upper.diagonal()
+    unit_upper = pc.upper.tocsc()
+    unit_upper.data *= np.repeat(inv_diag, np.diff(unit_upper.indptr))
+    y = spsolve_triangular(pc.lower.tocsc(), b, lower=True, unit_diagonal=True)
+    w = spsolve_triangular(unit_upper, y, lower=False, unit_diagonal=True)
+    return (inv_diag * w.T).T
+
+
 def assert_matches_ilu0_reference(matrix):
-    """Factors bitwise equal to the IKJ reference, apply equal to 1e-14."""
+    """Factors bitwise equal to the IKJ reference, apply equal to 1e-14.
+
+    The apply calls scipy's private SuperLU solve, so it is also held
+    bitwise to the public ``spsolve_triangular`` path, for one and for
+    several right-hand sides: a scipy upgrade that changes either fails
+    here.
+    """
     from scipy.sparse.linalg import spsolve_triangular
 
     lower, upper, shifted = _ilu0_reference(matrix)
@@ -86,12 +105,23 @@ def assert_matches_ilu0_reference(matrix):
     for got, want in ((pc.lower, lower), (pc.upper, upper)):
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
-    b = np.random.default_rng(0).normal(size=matrix.shape[0])
+    rng = np.random.default_rng(0)
+    b = rng.normal(size=matrix.shape[0])
     y = spsolve_triangular(lower, b, lower=True, unit_diagonal=True)
     want = spsolve_triangular(upper, y, lower=False)
+    b_before = b.copy()
     got = pc.apply(b)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert np.array_equal(b, b_before)
+    assert np.array_equal(got, _ilu0_public_apply(pc, b))
     assert np.array_equal(pc.apply(b), got)  # prepared factors are not modified
+    many = rng.normal(size=(matrix.shape[0], 3))
+    many_before = many.copy()
+    got = pc.apply(many)
+    assert np.array_equal(many, many_before)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _ilu0_public_apply(pc, many))
+    assert np.array_equal(got, np.column_stack([pc.apply(col) for col in many.T]))
 
 
 class TestGmres:
@@ -379,6 +409,35 @@ class TestILU0:
         a = sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
         assert ILU0Preconditioner(a).shifted
         assert_matches_ilu0_reference(a)
+
+    def test_apply_is_one_superlu_solve(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+        from scipy.sparse.linalg._dsolve import _superlu
+
+        real = _superlu.gstrs
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spsolve_triangular called")
+
+        monkeypatch.setattr(_superlu, "gstrs", counting)
+        monkeypatch.setattr(sla, "spsolve_triangular", forbidden)
+        pc = ILU0Preconditioner(poisson_2d(6))
+        pc.apply(np.ones(36))
+        pc.apply(np.ones((36, 2)))
+        assert calls == ["N", "N"]
+
+    def test_missing_superlu_solve_fails_at_setup(self, monkeypatch):
+        import types
+
+        monkeypatch.setitem(sys.modules, "scipy.sparse.linalg._dsolve._superlu",
+                            types.ModuleType("_superlu"))
+        with pytest.raises(ImportError, match=r"scipy>=1\.17"):
+            ILU0Preconditioner(poisson_2d(4))
 
     def test_missing_diagonal_rejected(self):
         a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from nbflow import precond
 from nbflow.assembly import BlockTangent
-from nbflow.krylov import SolverSettings, fgmres
+from nbflow.krylov import ILU0Preconditioner, SolverSettings, fgmres
 from nbflow.precond import (
     BipnSchur,
     BlockDiagPreconditioner,
@@ -249,6 +249,24 @@ class TestBipnSchur:
         # agreement).
         y = apply_inv(st.apply(x))
         assert np.linalg.norm(y - x) < 1e-6 * np.linalg.norm(x)
+
+    def test_woodbury_columns_batched_bitwise(self, tube_blocks):
+        # One 2-D ILU apply builds the same correction as one apply per outlet.
+        tangent, *_ = tube_blocks
+        rng = np.random.default_rng(12)
+        extra = [(w, rng.normal(size=tangent.n_v)) for w in (40.0, 7.5)]
+        t = BlockTangent(tangent.F, tangent.B, tangent.C, tangent.D,
+                         rank_one=tangent.rank_one + extra)
+        st = BipnSchur(t)
+        assert len(st.coeffs) == 3
+        ilu = ILU0Preconditioner(st.base)
+        mu = np.column_stack([ilu.apply(u) for u in st.u_vectors])
+        vt = np.column_stack(st.v_vectors).T
+        cap = np.linalg.inv(np.diag(1.0 / np.asarray(st.coeffs)) + vt @ mu)
+        apply_inv = st.preconditioner()
+        for r in rng.normal(size=(4, t.n_p)):
+            y = ilu.apply(r)
+            assert np.array_equal(apply_inv(r), y - mu @ (cap @ (vt @ y)))
 
     def test_usable_as_schur_preconditioner(self, tube_blocks):
         tangent, rhs, *_ = tube_blocks
