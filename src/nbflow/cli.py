@@ -78,7 +78,10 @@ def _cmd_bench(args) -> int:
     from .driver import benchmark_preconditioners
 
     config = load_config(args.config)
-    outcome = benchmark_preconditioners(config, output_dir=args.output_dir)
+    outcome = benchmark_preconditioners(
+        config, output_dir=args.output_dir,
+        deterministic=args.deterministic, seed=args.seed,
+    )
     for label, res in outcome["results"].items():
         log.info(
             "%-24s %-10s iters=%-4d rel=%.3e %.3fs",

@@ -1,9 +1,11 @@
 """Structured sample meshes for tests, studies and benchmarks.
 
 These builders produce small tetrahedral meshes of boxes and straight or
-profiled tubes.  Prisms and hexahedra are subdivided with the
-minimum-index diagonal rule so that shared faces always receive the same
-diagonal, which keeps the decomposition conforming.
+profiled tubes.  Hexahedra are cut into prisms, and all prisms of a mesh
+are split into tets by one array routine, ``_split_prisms``.  It applies
+the minimum-index diagonal rule from two tables (``_PRISM_PERMS`` and
+``_PRISM_TETS``), so that shared faces always receive the same diagonal,
+which keeps the decomposition conforming.
 """
 
 from __future__ import annotations
@@ -12,39 +14,39 @@ import numpy as np
 
 from .meshing import Mesh, boundary_faces
 
-# Prism vertex permutations that bring any local slot to position 0 while
-# preserving the vertical edges (0-3, 1-4, 2-5).
-_PRISM_PERMS = {
-    0: (0, 1, 2, 3, 4, 5),
-    1: (1, 2, 0, 4, 5, 3),
-    2: (2, 0, 1, 5, 3, 4),
-    3: (3, 5, 4, 0, 2, 1),
-    4: (4, 3, 5, 1, 0, 2),
-    5: (5, 4, 3, 2, 1, 0),
-}
+# Rows of vertex slots that bring any slot to position 0 while preserving
+# the vertical edges (0-3, 1-4, 2-5), indexed by the slot of the smallest node.
+_PRISM_PERMS = np.array([
+    (0, 1, 2, 3, 4, 5),
+    (1, 2, 0, 4, 5, 3),
+    (2, 0, 1, 5, 3, 4),
+    (3, 5, 4, 0, 2, 1),
+    (4, 3, 5, 1, 0, 2),
+    (5, 4, 3, 2, 1, 0),
+])
+
+# Tets of a permuted prism a0..a5 (a0 smallest).  Quads touching a0 take
+# diagonals a0-a4 and a0-a5; the quad (a1 a2 a5 a4) takes diagonal a1-a5
+# (row 0) when a1 or a5 is its smallest node, else a2-a4 (row 1).
+_PRISM_TETS = np.array([
+    [(0, 1, 2, 5), (0, 1, 5, 4), (0, 4, 5, 3)],
+    [(0, 1, 2, 4), (0, 4, 2, 5), (0, 4, 5, 3)],
+])
 
 
-def _split_prism(verts):
-    """Split a prism (bottom v0 v1 v2, top v3 v4 v5) into 3 tets.
+def _split_prisms(prisms):
+    """Split ``(P, 6)`` prisms (bottom v0 v1 v2, top v3 v4 v5) into ``(3P, 4)`` tets.
 
     Diagonals on the quadrilateral faces run through the smallest global
     node index, so adjacent prisms make matching choices.
     """
-    verts = list(verts)
-    slot = min(range(6), key=lambda s: verts[s])
-    perm = _PRISM_PERMS[slot]
-    a = [verts[p] for p in perm]
-    # Quads touching a[0] take diagonals a0-a4 and a0-a5.  The remaining
-    # quad (a1 a2 a5 a4) takes the diagonal through its smallest index.
-    if min(a[1], a[2], a[4], a[5]) in (a[1], a[5]):
-        tets = [(a[0], a[1], a[2], a[5]), (a[0], a[1], a[5], a[4]), (a[0], a[4], a[5], a[3])]
-    else:
-        tets = [(a[0], a[1], a[2], a[4]), (a[0], a[4], a[2], a[5]), (a[0], a[4], a[5], a[3])]
-    return tets
+    a = np.take_along_axis(prisms, _PRISM_PERMS[prisms.argmin(axis=1)], axis=1)
+    # Quad slots in cyclic order a1 a2 a5 a4: an even position holds a1 or a5.
+    row = a[:, [1, 2, 5, 4]].argmin(axis=1) % 2
+    return np.take_along_axis(a, _PRISM_TETS[row].reshape(len(a), 12), axis=1).reshape(-1, 4)
 
 
 def _fix_orientation(nodes, tets):
-    tets = np.asarray(tets, dtype=np.int64)
     x = nodes[tets]
     det = np.linalg.det(x[:, 1:, :] - x[:, :1, :])
     flip = det < 0.0
@@ -81,27 +83,17 @@ def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_t
     xs = ox + lx * np.arange(nx + 1) / nx
     ys = oy + ly * np.arange(ny + 1) / ny
     zs = oz + lz * np.arange(nz + 1) / nz
-    nodes = np.array([(x, y, z) for z in zs for y in ys for x in xs])
-
-    def nid(i, j, k):
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
-    tets = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                c = [nid(i, j, k), nid(i + 1, j, k), nid(i + 1, j + 1, k), nid(i, j + 1, k)]
-                t = [nid(i, j, k + 1), nid(i + 1, j, k + 1), nid(i + 1, j + 1, k + 1), nid(i, j + 1, k + 1)]
-                # Split the base square through its smallest corner index.
-                if min(c) in (c[0], c[2]):
-                    bottoms = [(c[0], c[1], c[2]), (c[0], c[2], c[3])]
-                    tops = [(t[0], t[1], t[2]), (t[0], t[2], t[3])]
-                else:
-                    bottoms = [(c[1], c[2], c[3]), (c[1], c[3], c[0])]
-                    tops = [(t[1], t[2], t[3]), (t[1], t[3], t[0])]
-                for bot, top in zip(bottoms, tops):
-                    tets.extend(_split_prism(bot + top))
-    tets = _fix_orientation(nodes, tets)
+    zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij")
+    nodes = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    # Corner offsets from each cell's first node: base square c0 c1 c2 c3,
+    # then the square above.  c0 is always the smallest corner, so the base
+    # square splits through it into prisms (c0 c1 c2) and (c0 c2 c3).
+    square = np.array([0, 1, nx + 2, nx + 1])
+    corner = np.concatenate([square, square + (nx + 1) * (ny + 1)])
+    split = corner[[[0, 1, 2, 4, 5, 6], [0, 2, 3, 4, 6, 7]]]
+    first = np.arange(len(nodes)).reshape(zz.shape)[:-1, :-1, :-1]  # cells in k, j, i order
+    prisms = (first.reshape(-1, 1, 1) + split).reshape(-1, 6)
+    tets = _fix_orientation(nodes, _split_prisms(prisms))
 
     planes = {
         "xmin": (0, ox), "xmax": (0, ox + lx),
@@ -116,26 +108,14 @@ def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_t
 
 def _unit_disk(n_r, n_theta):
     """Triangulated unit disk: center node plus ``n_r`` rings."""
-    pts = [(0.0, 0.0)]
-    for j in range(1, n_r + 1):
-        r = j / n_r
-        for i in range(n_theta):
-            a = 2.0 * np.pi * i / n_theta
-            pts.append((r * np.cos(a), r * np.sin(a)))
-
-    def ring(j, i):
-        return 1 + (j - 1) * n_theta + (i % n_theta)
-
-    tris = []
-    for i in range(n_theta):
-        tris.append((0, ring(1, i), ring(1, i + 1)))
-    for j in range(1, n_r):
-        for i in range(n_theta):
-            a0, a1 = ring(j, i), ring(j, i + 1)
-            b0, b1 = ring(j + 1, i), ring(j + 1, i + 1)
-            tris.append((a0, a1, b0))
-            tris.append((a1, b1, b0))
-    return np.array(pts), np.array(tris, dtype=np.int64)
+    r = np.repeat(np.arange(1, n_r + 1) / n_r, n_theta)
+    a = np.tile(2.0 * np.pi * np.arange(n_theta) / n_theta, n_r)
+    pts = np.concatenate([np.zeros((1, 2)), np.stack([r * np.cos(a), r * np.sin(a)], axis=1)])
+    ring = 1 + n_theta * np.arange(n_r)[:, None] + np.arange(n_theta)  # ring node ids
+    nxt = np.roll(ring, -1, axis=1)
+    fan = np.stack([np.zeros_like(ring[0]), ring[0], nxt[0]], axis=1)
+    band = np.stack([ring[:-1], nxt[:-1], ring[1:], nxt[:-1], nxt[1:], ring[1:]], axis=-1)
+    return pts, np.concatenate([fan, band.reshape(-1, 3)])
 
 
 def tube_mesh(radius, length, n_r=2, n_theta=8, n_z=4, radius_profile=None,
@@ -150,16 +130,12 @@ def tube_mesh(radius, length, n_r=2, n_theta=8, n_z=4, radius_profile=None,
     per_slice = len(disk)
     zs = length * np.arange(n_z + 1) / n_z
     scale = np.ones_like(zs) if radius_profile is None else np.array([radius_profile(z) for z in zs], dtype=float)
-    nodes = np.empty(((n_z + 1) * per_slice, 3))
-    for s, z in enumerate(zs):
-        nodes[s * per_slice:(s + 1) * per_slice, :2] = disk * (radius * scale[s])
-        nodes[s * per_slice:(s + 1) * per_slice, 2] = z
-    tets = []
-    for s in range(n_z):
-        lo, hi = s * per_slice, (s + 1) * per_slice
-        for a, b, c in disk_tris:
-            tets.extend(_split_prism((lo + a, lo + b, lo + c, hi + a, hi + b, hi + c)))
-    tets = _fix_orientation(nodes, tets)
+    xy = disk * (radius * scale)[:, None, None]
+    z = np.broadcast_to(zs[:, None, None], (n_z + 1, per_slice, 1))
+    nodes = np.concatenate([xy, z], axis=2).reshape(-1, 3)
+    prisms = np.concatenate([disk_tris, disk_tris + per_slice], axis=1)
+    prisms = (per_slice * np.arange(n_z)[:, None, None] + prisms).reshape(-1, 6)
+    tets = _fix_orientation(nodes, _split_prisms(prisms))
 
     choices = [(inlet, "inlet"), (outlet, "outlet"), (wall, "wall")]
     groups = _plane_groups(nodes, tets, [(2, 0.0), (2, length)], choices,

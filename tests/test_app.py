@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nbflow
 from nbflow.cli import main as cli_main
 from nbflow.config import ConfigError, load_config, parse_config, with_resistance
 from nbflow.driver import (
@@ -341,6 +344,27 @@ class TestBenchmark:
         res = outcome["results"]
         assert res["one"]["iterations"] < res["weak"]["iterations"]
 
+    def test_deterministic_summary_byte_identical(self, tmp_path):
+        cfg = self._bench_config(tmp_path)
+        runs = [benchmark_preconditioners(cfg, output_dir=tmp_path / name, deterministic=True)
+                for name in ("a", "b")]
+        a, b = (open(run["summary"], "rb").read() for run in runs)
+        assert a == b
+
+    def test_seed_changes_perturbed_rhs(self, tmp_path):
+        text = BASE_CONFIG.format(steps=1, flow=50.0, outdir=tmp_path, cadence=0)
+        text = text.replace("ramp_time = 0.01", "ramp_time = 0.01\nperturbation = 0.01")
+        cfg = parse_config(text + "\n[bench]\nfreeze_step = 0\nmax_iters = 5\n"
+                           "\n[benchcase.diag]\npreconditioner = block_diag\n")
+
+        def rhs_print(**kwargs):
+            out = tmp_path / f"seed{kwargs.get('seed')}"
+            outcome = benchmark_preconditioners(cfg, output_dir=out, **kwargs)
+            return outcome["results"]["diag"]["rhs_fingerprint"]
+
+        assert rhs_print(seed=1) != rhs_print(seed=2)
+        assert rhs_print(seed=0) == rhs_print()
+
 
 class TestCli:
     def test_run_and_exit_codes(self, tmp_path):
@@ -382,6 +406,9 @@ class TestCli:
         )
         assert cli_main(["bench", str(cfg_path)]) == 0
         assert (tmp_path / "bench_out" / "bench_summary.csv").exists()
+        assert cli_main(["bench", str(cfg_path), "--deterministic", "--seed", "3"]) == 0
+        rows = (tmp_path / "bench_out" / "bench_summary.csv").read_text().splitlines()
+        assert rows[-1].split(",")[-1] == "0.0"
 
     def test_mms_cli(self, tmp_path):
         cfg_path = tmp_path / "mms.cfg"
@@ -390,3 +417,13 @@ class TestCli:
             f"[output]\ndirectory = {tmp_path / 'mms_out'}\n"
         )
         assert cli_main(["mms", str(cfg_path)]) == 0
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    heavy = ("scipy.sparse.linalg", "scipy.integrate", "scipy.io")
+    code = f"import sys, nbflow; print([m for m in {heavy!r} if m in sys.modules])"
+    src = os.path.dirname(os.path.dirname(nbflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

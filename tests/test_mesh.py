@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nbflow import meshing
+from nbflow import meshing, structured
 from nbflow.driver import BUILTIN_MESHES
 from nbflow.meshing import (
     Mesh,
@@ -112,6 +112,123 @@ def test_box_faces_merged_under_one_name():
     assert mesh.group("side").area == pytest.approx(3.0 * 4.0 + 2.0 * 4.0, rel=1e-12)
     assert mesh.group("top").tag == "outlet"
     assert mesh.group("top").area == pytest.approx(6.0, rel=1e-12)
+
+
+# Per-cell reference builders for the structured meshes: one prism split per
+# Python call, with the diagonal rule written out as scalar branches.
+_PRISM_PERMS_REFERENCE = {
+    0: (0, 1, 2, 3, 4, 5),
+    1: (1, 2, 0, 4, 5, 3),
+    2: (2, 0, 1, 5, 3, 4),
+    3: (3, 5, 4, 0, 2, 1),
+    4: (4, 3, 5, 1, 0, 2),
+    5: (5, 4, 3, 2, 1, 0),
+}
+
+
+def _split_prism_reference(verts):
+    verts = list(verts)
+    slot = min(range(6), key=lambda s: verts[s])
+    a = [verts[p] for p in _PRISM_PERMS_REFERENCE[slot]]
+    if min(a[1], a[2], a[4], a[5]) in (a[1], a[5]):
+        return [(a[0], a[1], a[2], a[5]), (a[0], a[1], a[5], a[4]), (a[0], a[4], a[5], a[3])]
+    return [(a[0], a[1], a[2], a[4]), (a[0], a[4], a[2], a[5]), (a[0], a[4], a[5], a[3])]
+
+
+def _oriented_reference(nodes, tets):
+    tets = np.asarray(tets, dtype=np.int64)
+    x = nodes[tets]
+    flip = np.linalg.det(x[:, 1:, :] - x[:, :1, :]) < 0.0
+    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+    return nodes, tets
+
+
+def _box_tets_reference(nx, ny, nz, lengths=(1.0, 1.0, 1.0)):
+    xs, ys, zs = (length * np.arange(n + 1) / n for n, length in zip((nx, ny, nz), lengths))
+    nodes = np.array([(x, y, z) for z in zs for y in ys for x in xs])
+
+    def nid(i, j, k):
+        return i + (nx + 1) * (j + (ny + 1) * k)
+
+    tets = []
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                c = [nid(i, j, k), nid(i + 1, j, k), nid(i + 1, j + 1, k), nid(i, j + 1, k)]
+                t = [nid(i, j, k + 1), nid(i + 1, j, k + 1), nid(i + 1, j + 1, k + 1),
+                     nid(i, j + 1, k + 1)]
+                if min(c) in (c[0], c[2]):
+                    pairs = [((c[0], c[1], c[2]), (t[0], t[1], t[2])),
+                             ((c[0], c[2], c[3]), (t[0], t[2], t[3]))]
+                else:
+                    pairs = [((c[1], c[2], c[3]), (t[1], t[2], t[3])),
+                             ((c[1], c[3], c[0]), (t[1], t[3], t[0]))]
+                for bot, top in pairs:
+                    tets.extend(_split_prism_reference(bot + top))
+    return _oriented_reference(nodes, tets)
+
+
+def _tube_tets_reference(radius, length, n_r=2, n_theta=8, n_z=4, radius_profile=None):
+    pts = [(0.0, 0.0)]
+    for j in range(1, n_r + 1):
+        for i in range(n_theta):
+            a = 2.0 * np.pi * i / n_theta
+            pts.append((j / n_r * np.cos(a), j / n_r * np.sin(a)))
+    disk = np.array(pts)
+
+    def ring(j, i):
+        return 1 + (j - 1) * n_theta + (i % n_theta)
+
+    disk_tris = [(0, ring(1, i), ring(1, i + 1)) for i in range(n_theta)]
+    for j in range(1, n_r):
+        for i in range(n_theta):
+            a0, a1, b0, b1 = ring(j, i), ring(j, i + 1), ring(j + 1, i), ring(j + 1, i + 1)
+            disk_tris += [(a0, a1, b0), (a1, b1, b0)]
+    per_slice = len(disk)
+    zs = length * np.arange(n_z + 1) / n_z
+    scale = np.ones_like(zs) if radius_profile is None else np.array([radius_profile(z) for z in zs])
+    nodes = np.empty(((n_z + 1) * per_slice, 3))
+    tets = []
+    for s, z in enumerate(zs):
+        nodes[s * per_slice:(s + 1) * per_slice, :2] = disk * (radius * scale[s])
+        nodes[s * per_slice:(s + 1) * per_slice, 2] = z
+    for s in range(n_z):
+        lo, hi = s * per_slice, (s + 1) * per_slice
+        for a, b, c in disk_tris:
+            tets.extend(_split_prism_reference((lo + a, lo + b, lo + c, hi + a, hi + b, hi + c)))
+    return _oriented_reference(nodes, tets)
+
+
+def _assert_same_arrays(mesh, reference):
+    for got, want in zip((mesh.nodes, mesh.tets), reference):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cells, lengths", [
+    ((1, 1, 1), (1.0, 1.0, 1.0)),
+    ((2, 3, 4), (1.0, 1.0, 1.0)),
+    ((5, 3, 7), (0.7, 1.3, 2.9)),
+    ((8, 8, 10), (1.0, 1.0, 1.0)),
+])
+def test_box_mesh_matches_per_cell_reference(cells, lengths):
+    _assert_same_arrays(box_mesh(*cells, lengths=lengths), _box_tets_reference(*cells, lengths))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: structured.tube_mesh(1.0, 2.0, n_r=2, n_theta=5, n_z=3),
+    lambda: structured.tube_mesh(1.4, 3.0, n_r=3, n_theta=9, n_z=3),
+    structured.cylinder_fixture,
+    structured.nozzle_fixture,
+])
+def test_tube_mesh_matches_per_cell_reference(monkeypatch, make):
+    calls = []
+    build = structured.tube_mesh
+    monkeypatch.setattr(structured, "tube_mesh",
+                        lambda *args, **kw: calls.append((args, kw)) or build(*args, **kw))
+    mesh = make()
+    args, kw = calls[0]
+    _assert_same_arrays(mesh, _tube_tets_reference(*args, **kw))
 
 
 def test_metric_reference_tet_golden():
