@@ -20,14 +20,14 @@ constrained velocity rows and columns are eliminated from every block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .meshing import Mesh, surface_flow_rate, surface_normal_weights
+from .meshing import Mesh, surface_normal_weights
 from .quadrature import TET4_BARY, TRI3_BARY
 
 DEFAULT_C_T = 4.0
@@ -120,7 +120,6 @@ class Residual:
     momentum_vol: np.ndarray
     momentum_bc: np.ndarray
     momentum_bf: np.ndarray
-    flow_rates: dict = field(default_factory=dict)
 
     def restricted(self, dofmap: DofMap) -> np.ndarray:
         return dofmap.restrict(self.momentum, self.continuity)
@@ -192,8 +191,7 @@ class NavierStokesAssembler:
     """
 
     def __init__(self, mesh: Mesh, dofmap: DofMap, rho, mu, outlets=(),
-                 beta=DEFAULT_BETA, body_force=None, stabilization=True,
-                 c_t=DEFAULT_C_T, c_i=DEFAULT_C_I):
+                 beta=DEFAULT_BETA, body_force=None, stabilization=True):
         self.mesh = mesh
         self.dofmap = dofmap
         self.rho = float(rho)
@@ -201,8 +199,6 @@ class NavierStokesAssembler:
         self.beta = float(beta)
         self.body_force: Optional[Callable] = body_force
         self.stabilization = bool(stabilization)
-        self.c_t = float(c_t)
-        self.c_i = float(c_i)
         self.outlets = list(outlets)
 
         self.conn = mesh.tets
@@ -255,9 +251,9 @@ class NavierStokesAssembler:
             gu = np.einsum("eij,eqj->eqi", self.G, s["u"])
             vGv = np.einsum("eqi,eqi->eq", s["u"], gu)
             quad = (
-                self.c_t / dt**2
+                DEFAULT_C_T / dt**2
                 + vGv
-                + self.c_i * (self.mu / self.rho) ** 2 * self.GG[:, None]
+                + DEFAULT_C_I * (self.mu / self.rho) ** 2 * self.GG[:, None]
             )
             tau_m = 1.0 / (self.rho * np.sqrt(quad))
             s["gu"] = gu
@@ -319,10 +315,8 @@ class NavierStokesAssembler:
         np.add.at(continuity, self.conn.ravel(), rp.ravel())
 
         momentum_bc = np.zeros(3 * n)
-        flow_rates = {}
         for name in self.outlets:
             momentum_bc += outlet_pressures[name] * self._outlet_weights[name]
-            flow_rates[name] = surface_flow_rate(self.mesh, name, v.reshape(n, 3))
 
         momentum_bf = self._backflow_residual(v)
         return Residual(
@@ -331,7 +325,6 @@ class NavierStokesAssembler:
             momentum_vol=momentum_vol,
             momentum_bc=momentum_bc,
             momentum_bf=momentum_bf,
-            flow_rates=flow_rates,
         )
 
     def _backflow_surface_state(self, v):

@@ -97,10 +97,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_mesh_info(args) -> int:
     from .meshing import load_mesh
-    from .vtkio import load_vtk_mesh
 
-    path = args.mesh
-    mesh = load_vtk_mesh(path) if path.endswith(".vtk") else load_mesh(path)
+    mesh = load_mesh(args.mesh)
     sizes = mesh.element_sizes()
     print(f"nodes: {mesh.n_nodes}")
     print(f"tets: {mesh.n_tets}")

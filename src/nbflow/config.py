@@ -43,6 +43,7 @@ from typing import Optional
 from .krylov import SolverSettings
 from .lumped import LumpedModel, Resistance, Windkessel
 from .precond import NestedSettings, PRECONDITIONERS
+from .timestep import LinearSolveConfig, NewtonSettings
 
 
 class ConfigError(ValueError):
@@ -64,20 +65,6 @@ class InflowConfig:
     normalize: bool = True
     perturbation: float = 0.0
     waveform: tuple = ()  # optional ((t, q), ...) piecewise-linear table
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol_rel: float = 1.0e-6
-    tol_abs: float = 1.0e-6
-    max_iters: int = 20
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    preconditioner: str = "scr"
-    outer: SolverSettings = SolverSettings(rtol=1.0e-3)
-    nested: NestedSettings = NestedSettings()
 
 
 @dataclass(frozen=True)
@@ -129,11 +116,11 @@ class SimulationConfig:
     dt: float = 1.0e-3
     steps: int = 10
     rho_inf: float = 0.5
-    newton: NewtonConfig = NewtonConfig()
+    newton: NewtonSettings = NewtonSettings()
     inflow: Optional[InflowConfig] = None
     outlets: dict = field(default_factory=dict)  # group name -> LumpedModel
     initial_pi: dict = field(default_factory=dict)  # optional starting state
-    solver: SolverConfig = SolverConfig()
+    solver: LinearSolveConfig = LinearSolveConfig()
     output: OutputConfig = OutputConfig()
     n_ts_0d: int = 100
     bench: BenchConfig = BenchConfig()
@@ -168,15 +155,17 @@ def _parse_waveform(text):
 
 def _outlet_model(section) -> LumpedModel:
     kind = section.get("type", "resistance").strip().lower()
-    p_d = section.getfloat("distal_pressure", 0.0)
     if kind == "resistance":
-        return Resistance(R=section.getfloat("R"), P_d=p_d)
+        return Resistance(
+            R=section.getfloat("R"),
+            P_d=section.getfloat("distal_pressure", Resistance.P_d),
+        )
     if kind == "rcr":
         return Windkessel(
             R_p=section.getfloat("Rp"),
             C=section.getfloat("C"),
             R_d=section.getfloat("Rd"),
-            P_d=p_d,
+            P_d=section.getfloat("distal_pressure", Windkessel.P_d),
         )
     raise ConfigError(f"unknown outlet model type {kind!r}")
 
@@ -201,10 +190,17 @@ def _nested_settings(section, base: NestedSettings) -> NestedSettings:
 
 
 def parse_config(text: str) -> SimulationConfig:
-    """Parse a configuration from its text content."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse a configuration from its text content.
+
+    A key that is absent takes the default of the dataclass field it fills.
+    """
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"),
+        converters={"floats": _floats, "ints": _ints, "waveform": _parse_waveform},
+    )
     parser.read_string(text)
 
+    base = SimulationConfig()
     kwargs = {}
     if parser.has_section("mesh"):
         sec = parser["mesh"]
@@ -218,30 +214,32 @@ def parse_config(text: str) -> SimulationConfig:
         )
     if parser.has_section("fluid"):
         sec = parser["fluid"]
-        kwargs["density"] = sec.getfloat("density", 1.065)
-        kwargs["viscosity"] = sec.getfloat("viscosity", 0.035)
-        kwargs["backflow_beta"] = sec.getfloat("backflow_beta", 0.2)
+        kwargs["density"] = sec.getfloat("density", base.density)
+        kwargs["viscosity"] = sec.getfloat("viscosity", base.viscosity)
+        kwargs["backflow_beta"] = sec.getfloat("backflow_beta", base.backflow_beta)
     if parser.has_section("time"):
         sec = parser["time"]
-        kwargs["dt"] = sec.getfloat("dt", 1.0e-3)
-        kwargs["steps"] = sec.getint("steps", 10)
-        kwargs["rho_inf"] = sec.getfloat("rho_inf", 0.5)
+        kwargs["dt"] = sec.getfloat("dt", base.dt)
+        kwargs["steps"] = sec.getint("steps", base.steps)
+        kwargs["rho_inf"] = sec.getfloat("rho_inf", base.rho_inf)
     if parser.has_section("newton"):
         sec = parser["newton"]
-        kwargs["newton"] = NewtonConfig(
-            tol_rel=sec.getfloat("tol_rel", 1.0e-6),
-            tol_abs=sec.getfloat("tol_abs", 1.0e-6),
-            max_iters=sec.getint("max_iters", 20),
+        newton = base.newton
+        kwargs["newton"] = NewtonSettings(
+            tol_rel=sec.getfloat("tol_rel", newton.tol_rel),
+            tol_abs=sec.getfloat("tol_abs", newton.tol_abs),
+            max_iters=sec.getint("max_iters", newton.max_iters),
         )
     if parser.has_section("inflow"):
         sec = parser["inflow"]
+        inflow = InflowConfig()
         kwargs["inflow"] = InflowConfig(
-            surface=sec.get("surface", "inlet"),
-            flow_rate=sec.getfloat("flow_rate", 0.0),
-            ramp_time=sec.getfloat("ramp_time", 0.0),
-            normalize=sec.getboolean("normalize", True),
-            perturbation=sec.getfloat("perturbation", 0.0),
-            waveform=_parse_waveform(sec.get("waveform", "")) if sec.get("waveform") else (),
+            surface=sec.get("surface", inflow.surface),
+            flow_rate=sec.getfloat("flow_rate", inflow.flow_rate),
+            ramp_time=sec.getfloat("ramp_time", inflow.ramp_time),
+            normalize=sec.getboolean("normalize", inflow.normalize),
+            perturbation=sec.getfloat("perturbation", inflow.perturbation),
+            waveform=sec.getwaveform("waveform", inflow.waveform),
         )
     outlets = {}
     initial_pi = {}
@@ -255,57 +253,62 @@ def parse_config(text: str) -> SimulationConfig:
     kwargs["initial_pi"] = initial_pi
     if parser.has_section("solver"):
         sec = parser["solver"]
+        solver = base.solver
         outer = SolverSettings(
-            restart=sec.getint("outer_restart", 200),
-            rtol=sec.getfloat("outer_rtol", 1.0e-3),
-            atol=sec.getfloat("outer_atol", 1.0e-50),
-            max_iters=sec.getint("outer_max_iters", 200),
+            restart=sec.getint("outer_restart", solver.outer.restart),
+            rtol=sec.getfloat("outer_rtol", solver.outer.rtol),
+            atol=sec.getfloat("outer_atol", solver.outer.atol),
+            max_iters=sec.getint("outer_max_iters", solver.outer.max_iters),
         )
-        kwargs["solver"] = SolverConfig(
-            preconditioner=sec.get("preconditioner", "scr").strip(),
+        kwargs["solver"] = LinearSolveConfig(
             outer=outer,
-            nested=_nested_settings(sec, NestedSettings()),
+            nested=_nested_settings(sec, solver.nested),
+            preconditioner=sec.get("preconditioner", solver.preconditioner).strip(),
         )
-        kwargs["n_ts_0d"] = sec.getint("n_ts_0d", 100)
+        kwargs["n_ts_0d"] = sec.getint("n_ts_0d", base.n_ts_0d)
     if parser.has_section("output"):
         sec = parser["output"]
+        output = base.output
         kwargs["output"] = OutputConfig(
-            directory=sec.get("directory", "out"),
-            cadence=sec.getint("cadence", 0),
+            directory=sec.get("directory", output.directory),
+            cadence=sec.getint("cadence", output.cadence),
         )
     if parser.has_section("bench"):
         sec = parser["bench"]
+        bench = base.bench
+        nested = kwargs.get("solver", base.solver).nested
         cases = []
         for name in parser.sections():
             if name.startswith("benchcase."):
                 case_sec = parser[name]
-                base = kwargs.get("solver", SolverConfig()).nested
+                pc = case_sec.get("preconditioner", base.solver.preconditioner)
                 cases.append(
                     BenchCase(
                         name=name.split(".", 1)[1],
-                        preconditioner=case_sec.get("preconditioner", "scr").strip(),
-                        nested=_nested_settings(case_sec, base),
+                        preconditioner=pc.strip(),
+                        nested=_nested_settings(case_sec, nested),
                     )
                 )
         kwargs["bench"] = BenchConfig(
-            freeze_step=sec.getint("freeze_step", 5),
-            rtol=sec.getfloat("rtol", 1.0e-8),
-            max_iters=sec.getint("max_iters", 200),
-            restart=sec.getint("restart", 200),
-            resistances=_floats(sec.get("resistances", "")),
+            freeze_step=sec.getint("freeze_step", bench.freeze_step),
+            rtol=sec.getfloat("rtol", bench.rtol),
+            max_iters=sec.getint("max_iters", bench.max_iters),
+            restart=sec.getint("restart", bench.restart),
+            resistances=sec.getfloats("resistances", bench.resistances),
             cases=tuple(cases),
         )
     if parser.has_section("mms"):
         sec = parser["mms"]
+        mms = base.mms
         kwargs["mms"] = MMSConfig(
-            mode=sec.get("mode", "temporal").strip(),
-            solution=sec.get("solution", "shear").strip(),
-            final_time=sec.getfloat("final_time", 1.0),
-            step_counts=_ints(sec.get("step_counts", "8 16 32 64")),
-            mesh_sizes=_ints(sec.get("mesh_sizes", "2 4 8")),
-            box_n=sec.getint("box_n", 3),
-            steady_dt=sec.getfloat("steady_dt", 50.0),
-            steady_steps=sec.getint("steady_steps", 6),
+            mode=sec.get("mode", mms.mode).strip(),
+            solution=sec.get("solution", mms.solution).strip(),
+            final_time=sec.getfloat("final_time", mms.final_time),
+            step_counts=sec.getints("step_counts", mms.step_counts),
+            mesh_sizes=sec.getints("mesh_sizes", mms.mesh_sizes),
+            box_n=sec.getint("box_n", mms.box_n),
+            steady_dt=sec.getfloat("steady_dt", mms.steady_dt),
+            steady_steps=sec.getint("steady_steps", mms.steady_steps),
         )
     return SimulationConfig(**kwargs)
 

@@ -66,10 +66,6 @@ class RunArtifacts:
 
 def build_mesh(source) -> Mesh:
     if source.path:
-        if str(source.path).endswith(".vtk"):
-            from .vtkio import load_vtk_mesh
-
-            return load_vtk_mesh(source.path)
         return load_mesh(source.path)
     name = (source.builtin or "").strip().lower()
     params = dict(source.params)
@@ -166,16 +162,8 @@ def build_system(config: SimulationConfig, mesh: Mesh, rng=None) -> FlowSystem:
         models=dict(config.outlets),
         velocity_bcs=velocity_bcs,
         genalpha=genalpha_params(config.rho_inf),
-        newton=NewtonSettings(
-            tol_rel=config.newton.tol_rel,
-            tol_abs=config.newton.tol_abs,
-            max_iters=config.newton.max_iters,
-        ),
-        linear=LinearSolveConfig(
-            outer=config.solver.outer,
-            nested=config.solver.nested,
-            preconditioner=config.solver.preconditioner,
-        ),
+        newton=config.newton,
+        linear=config.solver,
         n_ts_0d=config.n_ts_0d,
     )
 

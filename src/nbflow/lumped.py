@@ -14,12 +14,8 @@ compliance in cm^4 s^2 / g, pressures in dyn/cm^2, flows in cm^3/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
-
-# Perturbation floor and relative size for the flow-derivative quotient.
-EPS_ABS = 1.0e-8
-EPS_REL = 1.0e-5
 
 
 def _as_pressure_fn(value) -> Callable[[float], float]:
@@ -165,19 +161,17 @@ def resistance_pressure(q: float, t: float, model: Resistance) -> float:
     return model.R * q + model.distal_pressure(t)
 
 
-def tangent_m(model: LumpedModel, pi_n, q_n, q_np1, dt, n_ts, t_n=0.0) -> float:
-    """Derivative of the end-of-step pressure with respect to the flow rate.
+def tangent_m(model: LumpedModel, dt, n_ts) -> float:
+    """Exact derivative of the end-of-step pressure with respect to the flow rate.
 
-    Resistance models have the exact value R.  For the Windkessel the
-    derivative is evaluated by a central difference quotient of the
-    Runge-Kutta update with step max(EPS_ABS, EPS_REL |q_np1|).
+    Resistance models have the value R.  The Runge-Kutta update of the
+    Windkessel is affine in ``q_np1``, so its derivative is the pressure
+    reached from a zero state, zero distal pressure and a flow ramping
+    from 0 to 1; it does not depend on the state.
     """
     if isinstance(model, Resistance):
         return model.R
-    eps = max(EPS_ABS, EPS_REL * abs(q_np1))
-    p_plus, _ = rk4_advance(model, pi_n, q_n, q_np1 + 0.5 * eps, dt, n_ts, t_n)
-    p_minus, _ = rk4_advance(model, pi_n, q_n, q_np1 - 0.5 * eps, dt, n_ts, t_n)
-    return (p_plus - p_minus) / eps
+    return rk4_advance(replace(model, P_d=0.0), 0.0, 0.0, 1.0, dt, n_ts)[0]
 
 
 def advance_outlet(model: LumpedModel, pi_n, q_n, q_np1, dt, n_ts, t_n=0.0):

@@ -395,7 +395,11 @@ def surface_normal_weights(mesh: Mesh, group) -> np.ndarray:
 
 
 def load_mesh(path) -> Mesh:
-    """Read a mesh from the native text format."""
+    """Read a mesh: legacy VTK for a ``.vtk`` path, else the native text format."""
+    if str(path).endswith(".vtk"):
+        from .vtkio import load_vtk_mesh
+
+        return load_vtk_mesh(path)
     with open(path, "r", encoding="utf-8") as fh:
         tokens = []
         for line in fh:

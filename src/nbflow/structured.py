@@ -93,7 +93,7 @@ def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_t
     split = corner[[[0, 1, 2, 4, 5, 6], [0, 2, 3, 4, 6, 7]]]
     first = np.arange(len(nodes)).reshape(zz.shape)[:-1, :-1, :-1]  # cells in k, j, i order
     prisms = (first.reshape(-1, 1, 1) + split).reshape(-1, 6)
-    tets = _fix_orientation(nodes, _split_prisms(prisms))
+    tets = _split_prisms(prisms)  # every tet has positive volume when the lengths are positive
 
     planes = {
         "xmin": (0, ox), "xmax": (0, ox + lx),

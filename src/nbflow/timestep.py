@@ -216,7 +216,7 @@ def outlet_evaluation(system: FlowSystem, state_n: FlowState, t, dt, v_iterate):
         out = state_n.outlets[name]
         q = surface_flow_rate(system.mesh, name, v_iterate)
         p, _ = advance_outlet(model, out.pi, out.flow, q, dt, system.n_ts_0d, t)
-        m = tangent_m(model, out.pi, out.flow, q, dt, system.n_ts_0d, t)
+        m = tangent_m(model, dt, system.n_ts_0d)
         q_cur[name], p_new[name], m_coef[name] = q, p, m
     return q_cur, p_new, m_coef
 

@@ -8,7 +8,14 @@ import pytest
 
 import nbflow
 from nbflow.cli import main as cli_main
-from nbflow.config import ConfigError, load_config, parse_config, with_resistance
+from nbflow.config import (
+    ConfigError,
+    InflowConfig,
+    SimulationConfig,
+    load_config,
+    parse_config,
+    with_resistance,
+)
 from nbflow.driver import (
     benchmark_preconditioners,
     build_mesh,
@@ -21,6 +28,7 @@ from nbflow.meshing import MeshError, load_mesh
 from nbflow.structured import box_mesh, tube_mesh
 from nbflow.vtkio import export_vtk, load_vtk_mesh, read_vtk
 
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 BASE_CONFIG = """
 [mesh]
@@ -85,6 +93,19 @@ class TestConfig:
         assert cfg.newton.max_iters == 20
         assert cfg.solver.outer.restart == 200
         assert cfg.solver.outer.atol == 1e-50
+
+    def test_empty_sections_give_dataclass_defaults(self):
+        sections = ("fluid", "time", "newton", "inflow", "solver", "output", "bench", "mms")
+        cfg = parse_config("".join(f"[{name}]\n" for name in sections))
+        assert cfg == SimulationConfig(inflow=InflowConfig())
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+    def test_shipped_config_loads(self, name):
+        cfg = load_config(os.path.join(CONFIG_DIR, name))
+        if name == "cylinder.cfg":
+            system = build_system(cfg, build_mesh(cfg.mesh))
+            assert system.newton is cfg.newton
+            assert system.linear is cfg.solver
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -154,6 +175,7 @@ class TestVtk:
         path = tmp_path / "box.vtk"
         export_vtk(path, mesh)
         back = load_vtk_mesh(path)
+        assert np.array_equal(load_mesh(path).tets, back.tets)
         assert back.n_nodes == mesh.n_nodes
         assert back.n_tets == mesh.n_tets
         assert back.volumes.sum() == pytest.approx(mesh.volumes.sum(), rel=1e-12)

@@ -142,13 +142,13 @@ def test_resistance_pressure_values():
 
 def test_tangent_resistance_exact():
     model = Resistance(R=1333.0)
-    for q, dt, n_ts in ((0.0, 1e-3, 1), (55.5, 2e-2, 40), (-3.0, 1.0, 7)):
-        assert tangent_m(model, 0.0, 0.0, q, dt, n_ts) == 1333.0
+    for dt, n_ts in ((1e-3, 1), (2e-2, 40), (1.0, 7)):
+        assert tangent_m(model, dt, n_ts) == 1333.0
 
 
 def test_tangent_large_compliance_limit():
     model = Windkessel(R_p=77.0, C=1e8, R_d=1.0)
-    m = tangent_m(model, 0.0, 10.0, 20.0, 1e-3, 10)
+    m = tangent_m(model, 1e-3, 10)
     assert m == pytest.approx(77.0, rel=1e-6)
 
 
@@ -173,8 +173,7 @@ def test_tangent_matches_symbolic_rk4_derivative():
         k4 = rhs(pi + (k1 - k2 + k3) * h, qm1)
         pi = pi + h * (k1 + 3 * k2 + 3 * k3 + k4) / 8
     exact = float(sympy.diff(r_p * q1 + pi, q1))
-    fd = tangent_m(WK, 0.0, 80.0, 90.0, 1e-3, 10)
-    assert fd == pytest.approx(exact, rel=1e-5)
+    assert tangent_m(WK, 1e-3, 10) == pytest.approx(exact, rel=1e-14)
 
 
 @given(

@@ -215,6 +215,11 @@ def test_box_mesh_matches_per_cell_reference(cells, lengths):
     _assert_same_arrays(box_mesh(*cells, lengths=lengths), _box_tets_reference(*cells, lengths))
 
 
+def test_box_mesh_negative_length_rejected():
+    with pytest.raises(MeshError, match="non-positive volume"):
+        box_mesh(2, 2, 2, lengths=(-1.0, 1.0, 1.0))
+
+
 @pytest.mark.parametrize("make", [
     lambda: structured.tube_mesh(1.0, 2.0, n_r=2, n_theta=5, n_z=3),
     lambda: structured.tube_mesh(1.4, 3.0, n_r=3, n_theta=9, n_z=3),
