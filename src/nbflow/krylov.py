@@ -11,6 +11,7 @@ caller's initial guess.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -19,7 +20,8 @@ import scipy.sparse as sp
 
 log = logging.getLogger("nbflow.krylov")
 
-# Re-orthogonalize when modified Gram-Schmidt removes most of the vector.
+# Re-orthogonalize when the first classical Gram-Schmidt pass removes most
+# of the vector; one second pass then restores orthogonality.
 _REORTH_THRESHOLD = 0.25
 
 
@@ -74,22 +76,24 @@ def _gmres_cycle(apply_op, r, target, m, apply_p=None):
 
     With a right preconditioner ``apply_p`` (flexible GMRES) the cycle
     stores ``Z[j] = apply_p(V[j])`` and applies the operator to ``Z[j]``;
-    without one, ``Z`` is ``V``.  Returns ``(dz, history, breakdown)``:
-    the correction ``Z[:k].T @ y``, the residual estimate after each of
-    the ``k`` columns, and whether the cycle exited on ``h_{j+1,j} == 0``.
-    A column whose Givens rotation is exactly zero (singular Hessenberg)
-    ends the cycle at the last good column with a warning; a non-finite
-    one raises ``FloatingPointError``.
+    without one, ``Z`` is ``V``.  Each new column is orthogonalized
+    against the basis by classical Gram-Schmidt, two matrix-vector
+    products per pass, with a second pass when the first removes most of
+    the vector (CGS2, "twice is enough": Giraud, Langou & Rozloznik 2005).
+    The Givens rotations run on Python floats.  Returns
+    ``(dz, history, breakdown)``: the correction ``Z[:k].T @ y``, the
+    residual estimate after each of the ``k`` columns, and whether the
+    cycle exited on ``h_{j+1,j} == 0``.  A column whose Givens rotation is
+    exactly zero (singular Hessenberg) ends the cycle at the last good
+    column with a warning; a non-finite one raises ``FloatingPointError``.
     """
     n = len(r)
     beta = np.linalg.norm(r)
     V = np.empty((m + 1, n))
     Z = V if apply_p is None else np.empty((m, n))
-    H = np.zeros((m + 1, m))
-    cs = np.zeros(m)
-    sn = np.zeros(m)
-    g = np.zeros(m + 1)
-    g[0] = beta
+    H = np.zeros((m, m))
+    cs, sn = [], []
+    g = [float(beta)]
     V[0] = r / beta
     history = []
     k = 0
@@ -98,40 +102,39 @@ def _gmres_cycle(apply_op, r, target, m, apply_p=None):
             Z[j] = apply_p(V[j])
         w = apply_op(Z[j])
         norm_before = np.linalg.norm(w)
-        for i in range(j + 1):
-            H[i, j] = V[i] @ w
-            w -= H[i, j] * V[i]
+        basis = V[:j + 1]
+        h = basis @ w
+        w -= h @ basis
         h_last = np.linalg.norm(w)
         if h_last < _REORTH_THRESHOLD * norm_before:
-            for i in range(j + 1):
-                corr = V[i] @ w
-                H[i, j] += corr
-                w -= corr * V[i]
+            corr = basis @ w
+            h += corr
+            w -= corr @ basis
             h_last = np.linalg.norm(w)
-        H[j + 1, j] = h_last
         # Apply accumulated Givens rotations, then create a new one.
+        col = h.tolist() + [float(h_last)]
         for i in range(j):
-            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-            H[i, j] = t
-        denom = np.hypot(H[j, j], H[j + 1, j])
-        if not np.isfinite(denom):
+            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                  -sn[i] * col[i] + cs[i] * col[i + 1])
+        denom = float(np.hypot(col[j], col[j + 1]))
+        if not math.isfinite(denom):
             raise FloatingPointError("GMRES breakdown: non-finite Hessenberg")
         if denom == 0.0:
             log.warning("GMRES cycle stopped after %d of %d columns: singular Hessenberg",
                         k, m)
             break
-        cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
-        H[j, j] = denom
-        H[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
+        cs.append(col[j] / denom)
+        sn.append(col[j + 1] / denom)
+        col[j] = denom
+        H[:j + 1, j] = col[:j + 1]
+        g.append(-sn[j] * g[j])
         g[j] = cs[j] * g[j]
         k = j + 1
         history.append(abs(g[j + 1]))
         if abs(g[j + 1]) <= target or h_last == 0.0:
             break
         V[j + 1] = w / h_last
-    y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
+    y = np.linalg.solve(H[:k, :k], g[:k])
     return Z[:k].T @ y, history, bool(h_last == 0.0)
 
 
@@ -357,16 +360,3 @@ class ILU0Preconditioner:
 
     __call__ = apply
 
-
-def save_matrix(path, matrix) -> None:
-    """Write a sparse matrix in coordinate text exchange format."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, sp.coo_matrix(matrix))
-
-
-def load_matrix(path):
-    """Read a sparse matrix from coordinate text exchange format."""
-    from scipy.io import mmread
-
-    return sp.csr_matrix(mmread(path))

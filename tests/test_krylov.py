@@ -11,8 +11,6 @@ from nbflow.krylov import (
     fgmres,
     gmres,
     jacobi_build,
-    load_matrix,
-    save_matrix,
 )
 
 
@@ -192,6 +190,25 @@ class TestGmres:
         assert stats.breakdown and stats.iterations == 0
         assert np.array_equal(x, np.zeros(2))
         assert stats.residual_norm == 1.0
+
+    def test_basis_orthonormal_after_second_pass(self):
+        # A near the identity: the first Gram-Schmidt pass removes almost all
+        # of each new vector, so every column takes the second pass.
+        n = 200
+        noise = np.random.default_rng(1).standard_normal((n, n))
+        a = np.eye(n) + 1e-6 * (np.diag(np.linspace(0.0, 1.0, n)) + 0.1 * noise / np.sqrt(n))
+        b = np.random.default_rng(2).standard_normal(n)
+        seen = []
+
+        def apply_a(v):
+            seen.append(v.copy())
+            return a @ v
+
+        _, stats = gmres(apply_a, b, SolverSettings(restart=60, rtol=1e-300, atol=1e-300,
+                                                    max_iters=40))
+        assert stats.iterations == 40
+        basis = np.array(seen[:40])
+        assert np.abs(basis @ basis.T - np.eye(40)).max() <= 1e-13
 
     def test_x0_untouched_on_failure(self):
         a = poisson_2d(16)
@@ -456,8 +473,10 @@ def test_settings_validation():
 
 
 def test_matrix_exchange_round_trip(tmp_path):
+    from scipy.io import mmread, mmwrite
+
     a = poisson_2d(5)
     path = tmp_path / "matrix.mtx"
-    save_matrix(path, a)
-    back = load_matrix(path)
+    mmwrite(path, a)
+    back = sp.csr_matrix(mmread(path))
     assert np.abs((back - a)).max() < 1e-15
