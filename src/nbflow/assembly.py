@@ -35,29 +35,6 @@ DEFAULT_C_I = 36.0
 DEFAULT_BETA = 0.2
 
 
-@dataclass(frozen=True)
-class StabParams:
-    """Element stabilization parameters."""
-
-    tau_m: float
-    tau_c: float
-
-
-def stabilization_params(v, metric, dt, rho, mu, c_t=DEFAULT_C_T, c_i=DEFAULT_C_I):
-    """Stabilization parameters at a point.
-
-    tau_M = (1/rho) (C_T/dt^2 + v.Gv + C_I (mu/rho)^2 G:G)^(-1/2) and
-    tau_C = 1/(tau_M tr G), with C_T = 4 and C_I = 36 for linear
-    interpolations.
-    """
-    v = np.asarray(v, dtype=float)
-    g = np.asarray(metric, dtype=float)
-    quad = c_t / dt**2 + v @ g @ v + c_i * (mu / rho) ** 2 * np.tensordot(g, g)
-    tau_m = 1.0 / (rho * np.sqrt(quad))
-    tau_c = 1.0 / (tau_m * np.trace(g))
-    return StabParams(tau_m=float(tau_m), tau_c=float(tau_c))
-
-
 class DofMap:
     """Free/constrained partition of the velocity and pressure unknowns.
 
@@ -91,10 +68,6 @@ class DofMap:
     def n_free_p(self) -> int:
         return len(self.free_p)
 
-    @property
-    def n_free(self) -> int:
-        return self.n_free_v + self.n_free_p
-
     def restrict(self, momentum, continuity) -> np.ndarray:
         """Stack the free components of full-length residual vectors."""
         return np.concatenate([momentum[self.free_v], continuity[self.free_p]])
@@ -113,13 +86,10 @@ class DofMap:
 
 @dataclass
 class Residual:
-    """Assembled residual with its boundary/volume partition."""
+    """Assembled momentum and continuity residuals."""
 
     momentum: np.ndarray  # (3N,)
     continuity: np.ndarray  # (N,)
-    momentum_vol: np.ndarray
-    momentum_bc: np.ndarray
-    momentum_bf: np.ndarray
 
     def restricted(self, dofmap: DofMap) -> np.ndarray:
         return dofmap.restrict(self.momentum, self.continuity)
@@ -228,49 +198,47 @@ class NavierStokesAssembler:
     # -- shared state -------------------------------------------------
 
     def _volume_state(self, v, vdot, p, dt, time):
-        ve = v[self.conn]
-        vde = vdot[self.conn]
-        pe = p[self.conn]
+        """Quadrature-point state read by both the residual and the tangent.
+
+        Arrays are (E, q, i) unless noted: ``gradv`` (E, i, j), ``divv``
+        (E,), ``u``, ``pq`` (E, q), ``acc = dv/dt + v.grad(v) - b``,
+        ``rM = rho acc + grad(p)``, ``gu = G u`` and ``tau_m``, ``tau_c``
+        (E, q).  Without stabilization ``gu`` and both taus are zero.
+        """
         lam = TET4_BARY
-        s = {}
-        s["gradv"] = np.einsum("eai,eaj->eij", ve, self.dN)
-        s["gradp"] = np.einsum("ea,eaj->ej", pe, self.dN)
-        s["divv"] = np.einsum("eii->e", s["gradv"])
-        s["u"] = np.einsum("qa,eai->eqi", lam, ve)
-        s["udot"] = np.einsum("qa,eai->eqi", lam, vde)
-        s["pq"] = np.einsum("qa,ea->eq", lam, pe)
+        ve = v[self.conn]
+        pe = p[self.conn]
+        gradv = ve.transpose(0, 2, 1) @ self.dN
+        u = lam @ ve
+        del ve
+        acc = lam @ vdot[self.conn]
+        # Stacked matmuls run several times faster on contiguous operands
+        # than on transposed views, so gradv^T is copied once.
+        acc += u @ gradv.transpose(0, 2, 1).copy()
         if self.body_force is not None:
-            xq = np.einsum("qa,eai->eqi", lam, self.xe)
-            s["bq"] = np.asarray(self.body_force(xq, time), dtype=float)
-        else:
-            s["bq"] = np.zeros_like(s["u"])
-        s["conv"] = np.einsum("eij,eqj->eqi", s["gradv"], s["u"])
-        s["acc"] = s["udot"] + s["conv"] - s["bq"]
-        s["rM"] = self.rho * s["acc"] + s["gradp"][:, None, :]
+            acc -= np.asarray(self.body_force(lam @ self.xe, time), dtype=float)
+        rM = self.rho * acc
+        rM += pe[:, None] @ self.dN
+        s = {
+            "gradv": gradv,
+            "divv": gradv[:, 0, 0] + gradv[:, 1, 1] + gradv[:, 2, 2],
+            "u": u,
+            "pq": pe @ lam.T,
+            "acc": acc,
+            "rM": rM,
+        }
         if self.stabilization:
-            gu = np.einsum("eij,eqj->eqi", self.G, s["u"])
-            vGv = np.einsum("eqi,eqi->eq", s["u"], gu)
-            quad = (
-                DEFAULT_C_T / dt**2
-                + vGv
-                + DEFAULT_C_I * (self.mu / self.rho) ** 2 * self.GG[:, None]
-            )
+            gu = u @ self.G  # G is symmetric
+            quad = np.vecdot(u, gu)
+            quad += DEFAULT_C_T / dt**2
+            quad += DEFAULT_C_I * (self.mu / self.rho) ** 2 * self.GG[:, None]
             tau_m = 1.0 / (self.rho * np.sqrt(quad))
-            s["gu"] = gu
-            s["tau_m"] = tau_m
+            s["gu"], s["tau_m"] = gu, tau_m
             s["tau_c"] = 1.0 / (tau_m * self.trG[:, None])
-            # Velocity derivatives of tau through the v.Gv term.
-            s["dtau_m"] = -(self.rho**2) * tau_m[..., None] ** 3 * gu
-            s["dtau_c"] = (
-                self.rho**2 * (tau_m**2 * s["tau_c"])[..., None] * gu
-            )
         else:
-            shape = s["u"].shape[:2]
-            s["gu"] = np.zeros_like(s["u"])
-            s["tau_m"] = np.zeros(shape)
-            s["tau_c"] = np.zeros(shape)
-            s["dtau_m"] = np.zeros_like(s["u"])
-            s["dtau_c"] = np.zeros_like(s["u"])
+            s["gu"] = np.zeros_like(u)
+            s["tau_m"] = np.zeros(u.shape[:2])
+            s["tau_c"] = np.zeros(u.shape[:2])
         return s
 
     # -- residual -----------------------------------------------------
@@ -281,6 +249,14 @@ class NavierStokesAssembler:
         ``outlet_pressures`` maps each outlet group name to its coupled
         traction magnitude; Dirichlet values are assumed to be embedded
         in ``v`` already.
+
+        The volume terms are grouped into batched matmuls.  With
+        ``wt = w tau_M`` and ``k = tau_M w (u - tau_M rM) . dN_a``:
+        ``rho lam^T (w acc - wt gradv rM) + rho k^T rM`` holds the
+        Galerkin inertia, both cross terms and the subgrid stress, then
+        come the viscous term and one ``N_a,i`` term for pressure and
+        grad-div.  Intermediates are freed as soon as they are used, so
+        the peak memory stays a few state arrays.
         """
         for name in self.outlets:
             if name not in outlet_pressures:
@@ -290,42 +266,43 @@ class NavierStokesAssembler:
         lam = TET4_BARY
         s = self._volume_state(v, vdot, p, dt, time)
         w, dN, rho = self.w, self.dN, self.rho
-        tau_m, tau_c, rM = s["tau_m"], s["tau_c"], s["rM"]
+        tau, rM, gradv, divv = s["tau_m"], s["rM"], s["gradv"], s["divv"]
+        wt = w[:, None] * tau
+        dNt = dN.transpose(0, 2, 1).copy()
 
-        rm = rho * np.einsum("e,qa,eqi->eai", w, lam, s["acc"])
-        int_p = w * s["pq"].sum(axis=1)
-        rm -= int_p[:, None, None] * dN
-        sym = s["gradv"] + s["gradv"].transpose(0, 2, 1)
-        rm += self.mu * self.vol[:, None, None] * np.einsum("eij,eaj->eai", sym, dN)
-        tdna = np.einsum("eqj,eaj->eqa", s["u"], dN)
-        rdna = np.einsum("eqj,eaj->eqa", rM, dN)
-        rm += rho * np.einsum("e,eq,eqi,eqa->eai", w, tau_m, rM, tdna)
-        gr = np.einsum("eij,eqj->eqi", s["gradv"], rM)
-        rm -= rho * np.einsum("e,qa,eq,eqi->eai", w, lam, tau_m, gr)
-        rm -= rho * np.einsum("e,eq,eqi,eqa->eai", w, tau_m**2, rM, rdna)
-        rm += (w * tau_c.sum(axis=1) * s["divv"])[:, None, None] * dN
-
-        rp = np.einsum("e,qa,e->ea", w, lam, s["divv"])
-        rp += np.einsum("e,eq,eqa->ea", w, tau_m, rdna)
+        rdn = rM @ dNt  # rM . dN_a, (E, q, a)
+        rp = (wt[:, None] @ rdn)[:, 0]
+        rp += (w * divv)[:, None] * lam.sum(axis=0)
+        k = s["u"] @ dNt
+        del dNt
+        k *= w[:, None, None]
+        rdn *= wt[..., None]
+        k -= rdn
+        del rdn
+        k *= tau[..., None]
+        rm = k.transpose(0, 2, 1) @ rM
+        del k
+        gT = gradv.transpose(0, 2, 1).copy()
+        gr = rM @ gT  # gradv rM
+        gr *= -tau[..., None]
+        gr += s["acc"]
+        gr *= w[:, None, None]  # w acc - wt gradv rM
+        rm += lam.T.copy() @ gr
+        del gr
+        rm *= rho
+        gT += gradv  # 2 eps(v)
+        visc = dN @ gT
+        visc *= (self.mu * self.vol)[:, None, None]
+        rm += visc
+        rm += (w * (s["tau_c"].sum(axis=1) * divv - s["pq"].sum(axis=1)))[:, None, None] * dN
 
         n = self.n_nodes
-        momentum_vol = np.zeros(3 * n)
-        np.add.at(momentum_vol, self._vdofs.ravel(), rm.reshape(len(self.conn), 12).ravel())
-        continuity = np.zeros(n)
-        np.add.at(continuity, self.conn.ravel(), rp.ravel())
-
-        momentum_bc = np.zeros(3 * n)
+        momentum = np.bincount(self._vdofs.ravel(), weights=rm.ravel(), minlength=3 * n)
+        continuity = np.bincount(self.conn.ravel(), weights=rp.ravel(), minlength=n)
         for name in self.outlets:
-            momentum_bc += outlet_pressures[name] * self._outlet_weights[name]
-
-        momentum_bf = self._backflow_residual(v)
-        return Residual(
-            momentum=momentum_vol + momentum_bc + momentum_bf,
-            continuity=continuity,
-            momentum_vol=momentum_vol,
-            momentum_bc=momentum_bc,
-            momentum_bf=momentum_bf,
-        )
+            momentum += outlet_pressures[name] * self._outlet_weights[name]
+        momentum += self._backflow_residual(v)
+        return Residual(momentum=momentum, continuity=continuity)
 
     def _backflow_surface_state(self, v):
         out = []
@@ -401,6 +378,9 @@ class NavierStokesAssembler:
         tau, rM, gradv = s["tau_m"], s["rM"], s["gradv"]
         E = len(self.conn)
         am, afgdt = alpha.alpha_m, alpha.alpha_f * alpha.gamma * dt
+        # Velocity derivatives of tau through the v.Gv term.
+        dtau_m = -(rho**2) * tau[..., None] ** 3 * s["gu"]
+        dtau_c = rho**2 * (tau**2 * s["tau_c"])[..., None] * s["gu"]
 
         # Quadrature-point factors, (E, q, a) unless noted.
         wq = w[:, None, None]
@@ -425,8 +405,8 @@ class NavierStokesAssembler:
         x_dt = x_dt * rM.transpose(0, 2, 1)[:, None]
         x_dt -= lamT[:, None, :] * gr.transpose(0, 2, 1)[:, None]
         x_dt *= (afgdt * rho) * w[:, None, None, None]
-        y_dt = (lam[:, :, None] * s["dtau_m"][:, :, None, :]).reshape(E, 4, 12)
-        z = (afgdt * w * s["divv"])[:, None, None] * (lamT @ s["dtau_c"])
+        y_dt = (lam[:, :, None] * dtau_m[:, :, None, :]).reshape(E, 4, 12)
+        z = (afgdt * w * s["divv"])[:, None, None] * (lamT @ dtau_c)
         z += (afgdt * w * s["tau_c"].sum(axis=1))[:, None, None] * dN
         f_el = np.concatenate([x_dt.reshape(E, 12, 4), dN.reshape(E, 12, 1)], axis=2) \
             @ np.concatenate([y_dt, z.reshape(E, 1, 12)], axis=1)

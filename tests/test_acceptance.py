@@ -337,7 +337,7 @@ def test_criterion_7_tangent_consistency():
         *stages, p_af, m_coef, dt, system.genalpha,
         time=t + system.genalpha.alpha_f * dt,
     )
-    delta = rng.normal(size=system.dofmap.n_free)
+    delta = rng.normal(size=system.dofmap.n_free_v + system.dofmap.n_free_p)
     reference = tangent.apply(delta)
 
     def residual_after(step):

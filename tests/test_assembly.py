@@ -1,17 +1,21 @@
+import tracemalloc
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from nbflow.assembly import (
+    DEFAULT_C_I,
+    DEFAULT_C_T,
     BlockTangent,
     DofMap,
     NavierStokesAssembler,
-    stabilization_params,
 )
 from nbflow.lumped import Resistance, Windkessel
 from nbflow.meshing import SIMPLEX_SCALING, metric_tensor
 from nbflow.quadrature import TET4_BARY, TET4_WEIGHTS, TRI3_BARY
-from nbflow.structured import tube_mesh
+from nbflow.structured import box_mesh, tube_mesh
 from nbflow.timestep import (
     FlowState,
     FlowSystem,
@@ -25,6 +29,29 @@ from conftest import RHO, MU, reference_tet_mesh, two_tet_mesh_all_outlets
 from test_krylov import assert_matches_ilu0_reference
 
 REF_G = SIMPLEX_SCALING  # metric of the reference tet (identity parent map)
+
+
+@dataclass(frozen=True)
+class StabParams:
+    """Element stabilization parameters."""
+
+    tau_m: float
+    tau_c: float
+
+
+def stabilization_params(v, metric, dt, rho, mu, c_t=DEFAULT_C_T, c_i=DEFAULT_C_I):
+    """Scalar reference for the stabilization parameters at a point.
+
+    tau_M = (1/rho) (C_T/dt^2 + v.Gv + C_I (mu/rho)^2 G:G)^(-1/2) and
+    tau_C = 1/(tau_M tr G), with C_T = 4 and C_I = 36 for linear
+    interpolations.
+    """
+    v = np.asarray(v, dtype=float)
+    g = np.asarray(metric, dtype=float)
+    quad = c_t / dt**2 + v @ g @ v + c_i * (mu / rho) ** 2 * np.tensordot(g, g)
+    tau_m = 1.0 / (rho * np.sqrt(quad))
+    tau_c = 1.0 / (tau_m * np.trace(g))
+    return StabParams(tau_m=float(tau_m), tau_c=float(tau_c))
 
 
 class TestStabilizationParams:
@@ -146,15 +173,105 @@ def test_single_tet_matches_quadrature_oracle(stabilization):
     assert np.abs(res.continuity[mesh.tets[0]] - rp).max() < 1e-12 * scale
 
 
+def _volume_state_reference(asm, v, vdot, p, dt, time):
+    """Einsum quadrature state, the reference for ``_volume_state``.
+
+    It also carries the velocity derivatives ``dtau_m`` and ``dtau_c``
+    that ``_tangent_reference`` reads.
+    """
+    ve = v[asm.conn]
+    vde = vdot[asm.conn]
+    pe = p[asm.conn]
+    lam = TET4_BARY
+    s = {}
+    s["gradv"] = np.einsum("eai,eaj->eij", ve, asm.dN)
+    s["gradp"] = np.einsum("ea,eaj->ej", pe, asm.dN)
+    s["divv"] = np.einsum("eii->e", s["gradv"])
+    s["u"] = np.einsum("qa,eai->eqi", lam, ve)
+    s["udot"] = np.einsum("qa,eai->eqi", lam, vde)
+    s["pq"] = np.einsum("qa,ea->eq", lam, pe)
+    if asm.body_force is not None:
+        xq = np.einsum("qa,eai->eqi", lam, asm.xe)
+        s["bq"] = np.asarray(asm.body_force(xq, time), dtype=float)
+    else:
+        s["bq"] = np.zeros_like(s["u"])
+    s["conv"] = np.einsum("eij,eqj->eqi", s["gradv"], s["u"])
+    s["acc"] = s["udot"] + s["conv"] - s["bq"]
+    s["rM"] = asm.rho * s["acc"] + s["gradp"][:, None, :]
+    if asm.stabilization:
+        gu = np.einsum("eij,eqj->eqi", asm.G, s["u"])
+        vGv = np.einsum("eqi,eqi->eq", s["u"], gu)
+        quad = (
+            DEFAULT_C_T / dt**2
+            + vGv
+            + DEFAULT_C_I * (asm.mu / asm.rho) ** 2 * asm.GG[:, None]
+        )
+        tau_m = 1.0 / (asm.rho * np.sqrt(quad))
+        s["gu"] = gu
+        s["tau_m"] = tau_m
+        s["tau_c"] = 1.0 / (tau_m * asm.trG[:, None])
+        s["dtau_m"] = -(asm.rho**2) * tau_m[..., None] ** 3 * gu
+        s["dtau_c"] = asm.rho**2 * (tau_m**2 * s["tau_c"])[..., None] * gu
+    else:
+        shape = s["u"].shape[:2]
+        s["gu"] = np.zeros_like(s["u"])
+        s["tau_m"] = np.zeros(shape)
+        s["tau_c"] = np.zeros(shape)
+        s["dtau_m"] = np.zeros_like(s["u"])
+        s["dtau_c"] = np.zeros_like(s["u"])
+    return s
+
+
+def _residual_reference(asm, v, vdot, p, outlet_pressures, dt, time=0.0):
+    """Term-by-term einsum residual, the reference for the grouped kernels.
+
+    Returns ``(momentum, continuity, parts)``; ``parts`` holds the
+    volume, outlet traction and backflow parts of the momentum residual.
+    """
+    lam = TET4_BARY
+    s = _volume_state_reference(asm, v, vdot, p, dt, time)
+    w, dN, rho = asm.w, asm.dN, asm.rho
+    tau_m, tau_c, rM = s["tau_m"], s["tau_c"], s["rM"]
+
+    rm = rho * np.einsum("e,qa,eqi->eai", w, lam, s["acc"])
+    int_p = w * s["pq"].sum(axis=1)
+    rm -= int_p[:, None, None] * dN
+    sym = s["gradv"] + s["gradv"].transpose(0, 2, 1)
+    rm += asm.mu * asm.vol[:, None, None] * np.einsum("eij,eaj->eai", sym, dN)
+    tdna = np.einsum("eqj,eaj->eqa", s["u"], dN)
+    rdna = np.einsum("eqj,eaj->eqa", rM, dN)
+    rm += rho * np.einsum("e,eq,eqi,eqa->eai", w, tau_m, rM, tdna)
+    gr = np.einsum("eij,eqj->eqi", s["gradv"], rM)
+    rm -= rho * np.einsum("e,qa,eq,eqi->eai", w, lam, tau_m, gr)
+    rm -= rho * np.einsum("e,eq,eqi,eqa->eai", w, tau_m**2, rM, rdna)
+    rm += (w * tau_c.sum(axis=1) * s["divv"])[:, None, None] * dN
+
+    rp = np.einsum("e,qa,e->ea", w, lam, s["divv"])
+    rp += np.einsum("e,eq,eqa->ea", w, tau_m, rdna)
+
+    n = asm.n_nodes
+    vol = np.zeros(3 * n)
+    np.add.at(vol, asm._vdofs.ravel(), rm.reshape(len(asm.conn), 12).ravel())
+    continuity = np.zeros(n)
+    np.add.at(continuity, asm.conn.ravel(), rp.ravel())
+    bc = np.zeros(3 * n)
+    for name in asm.outlets:
+        bc += outlet_pressures[name] * asm._outlet_weights[name]
+    bf = asm._backflow_residual(v)
+    return vol + bc + bf, continuity, {"vol": vol, "bc": bc, "bf": bf}
+
+
 def test_residual_partition_identity():
     system = _two_tet_system()
     state = _random_state(system, seed=2)
-    res = system.assembler.residual(
-        state.v, state.vdot, state.p,
-        {name: 3.0 for name in system.models}, 1e-2,
-    )
-    total = res.momentum_vol + res.momentum_bc + res.momentum_bf
-    assert np.array_equal(res.momentum, total)
+    asm = system.assembler
+    args = (state.v, state.vdot, state.p, {name: 3.0 for name in system.models}, 1e-2)
+    res = asm.residual(*args)
+    _, _, parts = _residual_reference(asm, *args)
+    assert np.abs(parts["bf"]).max() > 0.0
+    assert np.abs(parts["bc"]).max() > 0.0
+    total = parts["vol"] + parts["bc"] + parts["bf"]
+    assert np.abs(res.momentum - total).max() <= 1e-13 * np.abs(total).max()
 
 
 def _two_tet_system():
@@ -203,7 +320,7 @@ def _fd_error(system, state, t, dt, eps, rng):
     tangent = system.assembler.tangent(
         *stages, p_af, m_coef, dt, system.genalpha, time=t + system.genalpha.alpha_f * dt
     )
-    delta = rng.normal(size=system.dofmap.n_free)
+    delta = rng.normal(size=system.dofmap.n_free_v + system.dofmap.n_free_p)
     reference = tangent.apply(delta)
 
     def residual_after(step):
@@ -251,7 +368,7 @@ def _tangent_reference(asm, v, vdot, p, outlet_pressures, m_coeffs, dt, alpha,
     go through COO -> CSR and free-dof fancy indexing.
     """
     lam = TET4_BARY
-    s = asm._volume_state(v, vdot, p, dt, time)
+    s = _volume_state_reference(asm, v, vdot, p, dt, time)
     w, dN, rho, mu = asm.w, asm.dN, asm.rho, asm.mu
     tau_m, tau_c, rM = s["tau_m"], s["tau_c"], s["rM"]
     gradv, divv = s["gradv"], s["divv"]
@@ -398,7 +515,9 @@ def _tube_tangent_case(case):
     mesh = tube_mesh(1.0, 3.0, n_r=2, n_theta=6, n_z=4)
     dofmap = DofMap.from_mesh(mesh, ["inlet", "wall"])
     outlets = [] if case == "no_outlets" else ["outlet"]
+    body_force = (lambda x, t: np.sin(x + t)) if case == "body_force" else None
     asm = NavierStokesAssembler(mesh, dofmap, RHO, MU, outlets=outlets,
+                                body_force=body_force,
                                 stabilization=case != "unstabilized")
     n = mesh.n_nodes
     v, vdot, p = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
@@ -413,7 +532,36 @@ def _tube_tangent_case(case):
     return asm, args
 
 
-@pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "no_outlets"])
+@pytest.mark.parametrize("case", ["backflow", "unstabilized", "body_force", "no_outlets"])
+def test_residual_matches_einsum_reference(case):
+    asm, (v, vdot, p, pressures, _, dt, _) = _tube_tangent_case(case)
+    momentum, continuity, parts = _residual_reference(asm, v, vdot, p, pressures, dt, time=0.1)
+    if case == "backflow":
+        assert np.abs(parts["bf"]).max() > 0.0
+    res = asm.residual(v, vdot, p, pressures, dt, time=0.1)
+    for got, expected in ((res.momentum, momentum), (res.continuity, continuity)):
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_residual_peak_memory_per_tet():
+    """One residual call holds a few state arrays, never more (ROADMAP aim 3)."""
+    mesh = box_mesh(8, 8, 10, face_tags={"zmax": ("outlet", "outlet")})
+    asm = NavierStokesAssembler(mesh, DofMap(mesh.n_nodes), RHO, MU, outlets=["outlet"])
+    rng = np.random.default_rng(5)
+    n = mesh.n_nodes
+    args = (rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), rng.normal(size=n),
+            {"outlet": 1.0}, 1e-3)
+    asm.residual(*args)
+    tracemalloc.start()
+    try:
+        asm.residual(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1200 * len(mesh.tets)
+
+
+@pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "body_force", "no_outlets"])
 def test_tangent_matches_einsum_reference(case):
     asm, args = _tube_tangent_case(case)
     v = args[0]
@@ -495,11 +643,9 @@ def test_backflow_vanishes_for_outflow_state():
     asm = NavierStokesAssembler(mesh, dofmap, RHO, MU, outlets=["outlet"])
     n = mesh.n_nodes
     v = np.tile([0.0, 0.0, 1.0], (n, 1))  # outward at the z = L outlet
-    res = asm.residual(v, np.zeros((n, 3)), np.zeros(n), {"outlet": 0.0}, 1e-3)
-    assert np.all(res.momentum_bf == 0.0)
+    assert np.all(asm._backflow_residual(v) == 0.0)
     v_in = -v  # reversed flow activates the penalty
-    res_in = asm.residual(v_in, np.zeros((n, 3)), np.zeros(n), {"outlet": 0.0}, 1e-3)
-    assert np.abs(res_in.momentum_bf).max() > 0.0
+    assert np.abs(asm._backflow_residual(v_in)).max() > 0.0
 
 
 def test_missing_outlet_pressure_rejected():
