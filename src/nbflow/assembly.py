@@ -96,30 +96,41 @@ class Residual:
 
 
 class BlockTangent:
-    """2x2 block tangent with the outlet coupling kept in rank-one form.
+    """2x2 block tangent with the outlet coupling kept in low-rank form.
 
-    The velocity-velocity block acts as ``F + sum_k w_k a_k a_k^T``; the
-    rank-one terms are never densified.
+    The velocity-velocity block acts as ``F + A^T diag(w) A``: outlet k
+    adds ``w_k a_k a_k^T``, with weight ``w[k]`` and the row ``a_k = A[k]``
+    over the free velocity dofs.  The low-rank term is never densified.
+    (The attribute ``A`` is this outlet matrix; the preconditioners call
+    the whole velocity block A.)
     """
 
-    def __init__(self, F, B, C, D, rank_one=()):
+    def __init__(self, F, B, C, D, w=(), A=None):
         self.F = F
         self.B = B
         self.C = C
         self.D = D
-        self.rank_one = list(rank_one)  # (weight, vector over free velocity dofs)
         self.n_v = F.shape[0]
         self.n_p = D.shape[0]
+        self.w = np.asarray(w, dtype=float)  # (k,)
+        self.A = np.zeros((0, self.n_v)) if A is None else np.asarray(A, dtype=float)
+        if self.A.shape != (len(self.w), self.n_v):
+            raise ValueError(f"outlet rows have shape {self.A.shape}, expected "
+                             f"{(len(self.w), self.n_v)}")
 
     @property
     def n(self) -> int:
         return self.n_v + self.n_p
 
+    @property
+    def rank_one(self):
+        """The outlet terms as ``(w[k], A[k])`` pairs, a read-only view."""
+        return tuple(zip(self.w, self.A))
+
     def apply_velocity_block(self, x_v):
-        """Action of A = F + sum_k w_k a_k a_k^T."""
+        """Action of the velocity block ``F + A^T diag(w) A``."""
         y = self.F @ x_v
-        for w, a in self.rank_one:
-            y = y + (w * (a @ x_v)) * a
+        y += (self.w * (self.A @ x_v)) @ self.A
         return y
 
     def apply(self, x):
@@ -132,17 +143,13 @@ class BlockTangent:
         return np.concatenate([r_v, r_p])
 
     def a_diagonal(self) -> np.ndarray:
-        """Diagonal of A including the rank-one contributions."""
-        d = self.F.diagonal().copy()
-        for w, a in self.rank_one:
-            d += w * a * a
-        return d
+        """Diagonal of the velocity block, outlet terms ``w_k a_k,i^2`` included."""
+        return self.F.diagonal() + (self.w[:, None] * self.A * self.A).sum(axis=0)
 
     def dense(self) -> np.ndarray:
         """Densified full block matrix (tests and small oracles only)."""
-        top = self.F.toarray()
-        for w, a in self.rank_one:
-            top = top + w * np.outer(a, a)
+        outer = self.A[:, :, None] * self.A[:, None, :]
+        top = self.F.toarray() + (self.w[:, None, None] * outer).sum(axis=0)
         return np.block([[top, self.B.toarray()], [self.C.toarray(), self.D.toarray()]])
 
 
@@ -177,7 +184,6 @@ class NavierStokesAssembler:
         self.G = mesh.metric
         self.GG = np.einsum("eij,eij->e", self.G, self.G)
         self.trG = np.einsum("eii->e", self.G)
-        self.xe = mesh.nodes[self.conn]
         self.w = self.vol / len(TET4_BARY)
 
         n = mesh.n_nodes
@@ -186,14 +192,19 @@ class NavierStokesAssembler:
         # Flattened velocity dof indices per element, shape (E, 12).
         self._vdofs = (3 * conn[:, :, None] + np.arange(3)).reshape(len(conn), 12)
 
-        self._outlet_weights = {
-            name: surface_normal_weights(mesh, name).ravel() for name in self.outlets
-        }
-        self._bf_groups = []
-        for name in self.outlets:
-            g = mesh.group(name)
-            tdofs = (3 * g.tris[:, :, None] + np.arange(3)).reshape(len(g.tris), 9)
-            self._bf_groups.append((g, tdofs))
+        groups = [mesh.group(name) for name in self.outlets]
+        # Row k integrates N_A n_i over outlet k: the traction of a unit
+        # outlet pressure and the flux functional of that outlet.
+        self.outlet_weights = np.reshape(
+            [surface_normal_weights(mesh, g) for g in groups], (len(groups), 3 * n)
+        )
+        # The backflow term is the same on every outlet triangle, so all
+        # outlet triangles are held as one set.
+        self._bf_tris = np.concatenate([np.zeros((0, 3), dtype=np.int64),
+                                        *(g.tris for g in groups)])
+        self._bf_normals = np.concatenate([np.zeros((0, 3)), *(g.normals for g in groups)])
+        self._bf_areas = np.concatenate([np.zeros(0), *(g.areas for g in groups)])
+        self._bf_dofs = (3 * self._bf_tris[:, :, None] + np.arange(3)).reshape(-1, 9)
 
     # -- shared state -------------------------------------------------
 
@@ -216,7 +227,8 @@ class NavierStokesAssembler:
         # than on transposed views, so gradv^T is copied once.
         acc += u @ gradv.transpose(0, 2, 1).copy()
         if self.body_force is not None:
-            acc -= np.asarray(self.body_force(lam @ self.xe, time), dtype=float)
+            xq = lam @ self.mesh.nodes[self.conn]
+            acc -= np.asarray(self.body_force(xq, time), dtype=float)
         rM = self.rho * acc
         rM += pe[:, None] @ self.dN
         s = {
@@ -258,9 +270,7 @@ class NavierStokesAssembler:
         grad-div.  Intermediates are freed as soon as they are used, so
         the peak memory stays a few state arrays.
         """
-        for name in self.outlets:
-            if name not in outlet_pressures:
-                raise ValueError(f"missing pressure for outlet {name!r}")
+        pressures = self._outlet_values(outlet_pressures, "pressure")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
             raise ValueError("state contains non-finite values")
         lam = TET4_BARY
@@ -299,34 +309,36 @@ class NavierStokesAssembler:
         n = self.n_nodes
         momentum = np.bincount(self._vdofs.ravel(), weights=rm.ravel(), minlength=3 * n)
         continuity = np.bincount(self.conn.ravel(), weights=rp.ravel(), minlength=n)
-        for name in self.outlets:
-            momentum += outlet_pressures[name] * self._outlet_weights[name]
+        momentum += pressures @ self.outlet_weights
         momentum += self._backflow_residual(v)
         return Residual(momentum=momentum, continuity=continuity)
 
+    def _outlet_values(self, values, what):
+        """``(k,)`` array of a name-keyed outlet quantity, in outlet order."""
+        missing = [name for name in self.outlets if name not in values]
+        if missing:
+            raise ValueError(f"missing {what} for outlet {missing[0]!r}")
+        return np.array([values[name] for name in self.outlets], dtype=float)
+
     def _backflow_surface_state(self, v):
-        out = []
-        lamt = TRI3_BARY
-        for group, tdofs in self._bf_groups:
-            vt = v.reshape(self.n_nodes, 3)[group.tris]
-            uq = np.einsum("qa,kai->kqi", lamt, vt)
-            un = np.einsum("kqi,ki->kq", uq, group.normals)
-            out.append((group, tdofs, uq, un))
-        return out
+        """Velocity ``uq`` (K, q, i) and its normal part ``un`` (K, q) at the
+        quadrature points of every outlet triangle."""
+        vt = v.reshape(self.n_nodes, 3)[self._bf_tris]
+        uq = np.einsum("qa,kai->kqi", TRI3_BARY, vt)
+        un = np.einsum("kqi,ki->kq", uq, self._bf_normals)
+        return uq, un
 
     def _backflow_residual(self, v):
-        res = np.zeros(3 * self.n_nodes)
-        if self.beta == 0.0 or not self._bf_groups:
-            return res
+        if self.beta == 0.0:
+            return np.zeros(3 * self.n_nodes)
         lamt = TRI3_BARY
-        for group, tdofs, uq, un in self._backflow_surface_state(v):
-            wt = group.areas / len(lamt)
-            un_neg = np.minimum(un, 0.0)
-            contrib = -self.rho * self.beta * np.einsum(
-                "k,kq,qa,kqi->kai", wt, un_neg, lamt, uq
-            )
-            np.add.at(res, tdofs.ravel(), contrib.reshape(len(tdofs), 9).ravel())
-        return res
+        uq, un = self._backflow_surface_state(v)
+        wt = self._bf_areas / len(lamt)
+        contrib = -self.rho * self.beta * np.einsum(
+            "k,kq,qa,kqi->kai", wt, np.minimum(un, 0.0), lamt, uq
+        )
+        return np.bincount(self._bf_dofs.ravel(), weights=contrib.ravel(),
+                           minlength=3 * self.n_nodes)
 
     # -- tangent ------------------------------------------------------
 
@@ -343,12 +355,9 @@ class NavierStokesAssembler:
         free_v[dm.free_v] = np.arange(dm.n_free_v)
         free_p = np.full(self.n_nodes, -1, dtype=np.int64)
         free_p[dm.free_p] = np.arange(dm.n_free_p)
-        tdofs = [t for _, t in self._bf_groups]
-        backflow = np.concatenate(tdofs) if tdofs else np.zeros((0, 9), dtype=np.int64)
+        backflow = _element_pairs(self._bf_dofs, self._bf_dofs)
         return {
-            "F": _BlockScatter(
-                [_element_pairs(vdofs, vdofs), _element_pairs(backflow, backflow)], free_v, free_v
-            ),
+            "F": _BlockScatter([_element_pairs(vdofs, vdofs), backflow], free_v, free_v),
             "B": _BlockScatter([_element_pairs(vdofs, conn)], free_v, free_p),
             "C": _BlockScatter([_element_pairs(conn, vdofs)], free_p, free_v),
             "D": _BlockScatter([_element_pairs(conn, conn)], free_p, free_p),
@@ -451,33 +460,26 @@ class NavierStokesAssembler:
         d_el = (afgdt * wt.sum(axis=1))[:, None, None] * dndn
 
         scatter = self._scatter
-        tangent = BlockTangent(
+        return BlockTangent(
             F=scatter["F"].matrix(f_el, self._backflow_tangent(v, afgdt)),
             B=scatter["B"].matrix(b_el),
             C=scatter["C"].matrix(c_el.reshape(E, 4, 12)),
             D=scatter["D"].matrix(d_el),
+            w=afgdt * self._outlet_values(m_coeffs, "flow derivative"),
+            A=self.outlet_weights[:, self.dofmap.free_v],
         )
-        fv = self.dofmap.free_v
-        for name in self.outlets:
-            w_k = afgdt * m_coeffs[name]
-            a_free = self._outlet_weights[name][fv]
-            tangent.rank_one.append((w_k, a_free))
-        return tangent
 
     def _backflow_tangent(self, v, afgdt):
         """Backflow entries of F, (K, a, i, b, j) over all outlet triangles."""
         lamt = TRI3_BARY
-        eye = np.eye(3)
-        vals = [np.zeros((0, 3, 3, 3, 3))]
-        for group, tdofs, uq, un in self._backflow_surface_state(v):
-            wt = group.areas / len(lamt)
-            un_neg = np.minimum(un, 0.0)
-            active = (un < 0.0).astype(float)
-            k_el = np.einsum("k,kq,qa,qb,ij->kaibj", wt, un_neg, lamt, lamt, eye)
-            k_el += np.einsum("k,kq,qa,kqi,qb,kj->kaibj", wt, active, lamt, uq, lamt, group.normals)
-            k_el *= -self.rho * self.beta * afgdt
-            vals.append(k_el)
-        return np.concatenate(vals)
+        uq, un = self._backflow_surface_state(v)
+        wt = self._bf_areas / len(lamt)
+        active = (un < 0.0).astype(float)
+        k_el = np.einsum("k,kq,qa,qb,ij->kaibj", wt, np.minimum(un, 0.0), lamt, lamt, np.eye(3))
+        k_el += np.einsum("k,kq,qa,kqi,qb,kj->kaibj", wt, active, lamt, uq, lamt,
+                          self._bf_normals)
+        k_el *= -self.rho * self.beta * afgdt
+        return k_el
 
 
 def _element_pairs(row_dofs, col_dofs):

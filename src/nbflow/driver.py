@@ -37,6 +37,7 @@ from .timestep import (
     apply_dirichlet,
     genalpha_params,
     newton_residual,
+    outlet_flow_derivatives,
     predictor,
 )
 from .vtkio import export_vtk
@@ -445,9 +446,9 @@ def freeze_newton_system(system: FlowSystem, state: FlowState, t, dt):
     v_l, vdot_l = predictor(state.v, state.vdot, ga.gamma)
     p_l, pdot_l = predictor(state.p, state.pdot, ga.gamma)
     apply_dirichlet(system, state, v_l, vdot_l, p_l, pdot_l, t + dt, dt)
-    r, p_af, m_coef, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
+    r, p_af, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
     tangent = system.assembler.tangent(
-        *stages, p_af, m_coef, dt, ga, time=t + ga.alpha_f * dt
+        *stages, p_af, outlet_flow_derivatives(system, dt), dt, ga, time=t + ga.alpha_f * dt
     )
     return tangent, -r
 
@@ -481,8 +482,7 @@ def benchmark_preconditioners(config: SimulationConfig, output_dir=None,
         tangent, rhs = freeze_newton_system(system, state, t, run_config.dt)
         op_print = _fingerprint(
             tangent.F.data, tangent.F.indices, tangent.B.data, tangent.C.data,
-            tangent.D.data, *(a for _, a in tangent.rank_one),
-            np.array([w for w, _ in tangent.rank_one]),
+            tangent.D.data, tangent.A, tangent.w,
         )
         rhs_print = _fingerprint(rhs)
         outer = SolverSettings(

@@ -243,22 +243,6 @@ class JacobiPreconditioner:
     __call__ = apply
 
 
-def jacobi_build(operator) -> JacobiPreconditioner:
-    """Build a Jacobi preconditioner from a matrix or block-tangent A-block.
-
-    For block tangents the diagonal includes the rank-one outlet
-    contributions ``w_k a_k,i^2``.
-    """
-    if hasattr(operator, "a_diagonal"):
-        diag = operator.a_diagonal()
-    elif sp.issparse(operator):
-        diag = operator.diagonal()
-    else:
-        arr = np.asarray(operator, dtype=float)
-        diag = np.diag(arr) if arr.ndim == 2 else arr
-    return JacobiPreconditioner(diag)
-
-
 class ILU0Preconditioner:
     """Zero-fill incomplete LU factorization on the matrix sparsity pattern.
 

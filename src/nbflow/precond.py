@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import BlockTangent
-from .krylov import ILU0Preconditioner, SolverSettings, gmres, jacobi_build
+from .krylov import ILU0Preconditioner, JacobiPreconditioner, SolverSettings, gmres
 
 PC_A_CHOICES = ("jacobi", "ilu0", "none")
 PC_S_CHOICES = ("ilu0", "jacobi", "bipn", "none")
@@ -70,70 +70,57 @@ class SubSolveStats:
             )
 
 
+def _diagonal_schur(tangent: BlockTangent, diag, name):
+    """``(D - C diag^-1 B, diag^-1)`` for a diagonal ``diag`` of ``name``."""
+    if np.any(diag == 0.0):
+        raise ValueError(f"{name} has a zero diagonal entry; cannot form the sparse "
+                         "Schur approximation")
+    inv_diag = 1.0 / diag
+    return (tangent.D - tangent.C @ sp.diags(inv_diag) @ tangent.B).tocsr(), inv_diag
+
+
 def schur_sparse_approx(tangent: BlockTangent):
     """Sparse Schur approximation ``D - C diag(A)^-1 B``.
 
-    diag(A) includes the rank-one outlet contributions.
+    diag(A) includes the outlet terms.
     """
-    diag = tangent.a_diagonal()
-    if np.any(diag == 0.0):
-        raise ValueError("A has a zero diagonal entry; cannot form the sparse Schur approximation")
-    inv_diag = sp.diags(1.0 / diag)
-    return (tangent.D - tangent.C @ inv_diag @ tangent.B).tocsr()
+    return _diagonal_schur(tangent, tangent.a_diagonal(), "A")[0]
 
 
 class BipnSchur:
-    """Sparse-plus-rank-one Schur approximation from the outlet structure.
+    """Sparse-plus-low-rank Schur approximation from the outlet structure.
 
-    With ``delta = diag(F)`` (the diagonal of A without its rank-one
-    part), the inverse of ``delta + sum_k w_k a_k a_k^T`` is expanded
-    rank-one exactly, giving
+    With ``delta = diag(F)`` (the diagonal of A without its outlet
+    terms), the inverse of ``delta + sum_k w_k a_k a_k^T`` is expanded
+    term by term (Sherman-Morrison), giving
 
-        S_tilde = D - C delta^-1 B
-                  + sum_k  c_k (C b_k)(B^T b_k)^T,
-        b_k = delta^-1 a_k,   c_k = w_k / (1 + w_k a_k . b_k).
+        S_tilde = D - C delta^-1 B + U diag(coeffs) V^T,
+        b_k = delta^-1 a_k,   coeffs_k = w_k / (1 + w_k a_k . b_k),
 
-    When A is exactly diagonal plus those rank-one terms this reproduces
-    the true Schur complement.  The object is apply-only; the rank-one
-    corrections are never densified.
+    where column k of ``U`` is ``C b_k`` and of ``V`` is ``B^T b_k``.
+    Outlets with zero weight are dropped.  When A is exactly diagonal
+    plus those terms this reproduces the true Schur complement.  The
+    low-rank correction is never densified; only its inverse is applied.
     """
 
     def __init__(self, tangent: BlockTangent):
-        diag_f = tangent.F.diagonal()
-        if np.any(diag_f == 0.0):
-            raise ValueError("F has a zero diagonal entry")
-        inv_df = 1.0 / diag_f
-        self.base = (tangent.D - tangent.C @ sp.diags(inv_df) @ tangent.B).tocsr()
-        self.coeffs = []
-        self.u_vectors = []
-        self.v_vectors = []
-        for w, a in tangent.rank_one:
-            if w == 0.0:
-                continue
-            b = inv_df * a
-            denom = 1.0 + w * (a @ b)
-            self.coeffs.append(w / denom)
-            self.u_vectors.append(tangent.C @ b)
-            self.v_vectors.append(tangent.B.T @ b)
-        self.shape = self.base.shape
-
-    def apply(self, x):
-        y = self.base @ x
-        for c, u, v in zip(self.coeffs, self.u_vectors, self.v_vectors):
-            y = y + c * (v @ x) * u
-        return y
-
-    __call__ = apply
+        self.base, inv_df = _diagonal_schur(tangent, tangent.F.diagonal(), "F")
+        keep = tangent.w != 0.0
+        w, a = tangent.w[keep], tangent.A[keep]
+        b = inv_df * a  # (k, n_v)
+        self.coeffs = w / (1.0 + w * np.vecdot(a, b))
+        self.U = tangent.C @ b.T  # (n_p, k)
+        self.V = tangent.B.T @ b.T
 
     def preconditioner(self):
         """Approximate inverse: ILU(0) of the sparse base corrected by the
-        Woodbury identity for the rank-one terms."""
+        Woodbury identity for the outlet terms."""
         ilu = ILU0Preconditioner(self.base)
-        if not self.coeffs:
+        if not len(self.coeffs):
             return ilu
-        mu = ilu.apply(np.column_stack(self.u_vectors))
-        vt = np.column_stack(self.v_vectors).T
-        cap = np.linalg.inv(np.diag(1.0 / np.asarray(self.coeffs)) + vt @ mu)
+        mu = ilu.apply(self.U)
+        vt = self.V.T
+        cap = np.linalg.inv(np.diag(1.0 / self.coeffs) + vt @ mu)
 
         def apply(r):
             y = ilu.apply(r)
@@ -144,9 +131,9 @@ class BipnSchur:
 
 def _build_pc_a(tangent: BlockTangent, kind: str):
     if kind == "jacobi":
-        return jacobi_build(tangent)
+        return JacobiPreconditioner(tangent.a_diagonal())
     if kind == "ilu0":
-        return ILU0Preconditioner(tangent.F)  # rank-one terms are not factored
+        return ILU0Preconditioner(tangent.F)  # the outlet terms are not factored
     return None
 
 
@@ -154,7 +141,7 @@ def _build_pc_s(tangent: BlockTangent, s_hat, kind: str):
     if kind == "ilu0":
         return ILU0Preconditioner(s_hat)
     if kind == "jacobi":
-        return jacobi_build(s_hat)
+        return JacobiPreconditioner(s_hat.diagonal())
     if kind == "bipn":
         return BipnSchur(tangent).preconditioner()
     return None

@@ -1,9 +1,10 @@
 """Generalized-alpha time integration with a predictor/multi-corrector loop.
 
-Each step predicts same-solution initial iterates, then repeats: evaluate
-outlet flow rates, advance the reduced outflow models and extract their
-flow derivatives, build the intermediate-stage state, assemble the
-residual, test convergence, assemble the tangent, solve the block system
+Each step takes the flow derivatives of the reduced outflow models once
+(they do not depend on the state), predicts same-solution initial
+iterates, then repeats: evaluate outlet flow rates, advance the reduced
+models, build the intermediate-stage state, assemble the residual, test
+convergence, assemble the tangent, solve the block system
 for the acceleration increment with the configured outer solver and
 preconditioner, and apply the corrector update.  On exit the reduced
 models are advanced once more with the accepted flow rates to define
@@ -210,27 +211,36 @@ def apply_dirichlet(system: FlowSystem, state_n: FlowState, v, vdot, p, pdot,
 
 
 def outlet_evaluation(system: FlowSystem, state_n: FlowState, t, dt, v_iterate):
-    """Flow rates, end-of-step reduced pressures and flow derivatives."""
-    q_cur, p_new, m_coef = {}, {}, {}
+    """Flow rates and end-of-step reduced pressures."""
+    q_cur, p_new = {}, {}
     for name, model in system.models.items():
         out = state_n.outlets[name]
         q = surface_flow_rate(system.mesh, name, v_iterate)
         p, _ = advance_outlet(model, out.pi, out.flow, q, dt, system.n_ts_0d, t)
-        m = tangent_m(model, dt, system.n_ts_0d)
-        q_cur[name], p_new[name], m_coef[name] = q, p, m
-    return q_cur, p_new, m_coef
+        q_cur[name], p_new[name] = q, p
+    return q_cur, p_new
+
+
+def outlet_flow_derivatives(system: FlowSystem, dt) -> dict:
+    """Flow derivative of each reduced model over a step of ``dt``.
+
+    It does not depend on the state, so one value serves every Newton
+    iterate of a step.
+    """
+    return {name: tangent_m(model, dt, system.n_ts_0d)
+            for name, model in system.models.items()}
 
 
 def newton_residual(system: FlowSystem, state_n: FlowState, t, dt,
                     v_l, vdot_l, p_l):
     """Residual of one Newton iterate, restricted to the free dofs.
 
-    Returns ``(stacked_residual, outlet_pressures_at_alpha_f, m_coeffs,
+    Returns ``(stacked_residual, outlet_pressures_at_alpha_f,
     intermediate_states)``; the helpers are reused by the tangent
     assembly and by consistency tests.
     """
     ga = system.genalpha
-    q_cur, p_new, m_coef = outlet_evaluation(system, state_n, t, dt, v_l)
+    q_cur, p_new = outlet_evaluation(system, state_n, t, dt, v_l)
     p_af = {
         name: (1.0 - ga.alpha_f) * state_n.outlets[name].pressure
         + ga.alpha_f * p_new[name]
@@ -241,7 +251,7 @@ def newton_residual(system: FlowSystem, state_n: FlowState, t, dt,
     res = system.assembler.residual(
         v_af, vdot_am, p_afv, p_af, dt, time=t + ga.alpha_f * dt
     )
-    return res.restricted(system.dofmap), p_af, m_coef, (v_af, vdot_am, p_afv)
+    return res.restricted(system.dofmap), p_af, (v_af, vdot_am, p_afv)
 
 
 def advance_step(system: FlowSystem, state: FlowState, t, dt):
@@ -260,11 +270,12 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
     p_l, pdot_l = predictor(state.p, state.pdot, ga.gamma)
     apply_dirichlet(system, state, v_l, vdot_l, p_l, pdot_l, t + dt, dt)
 
+    m_coef = outlet_flow_derivatives(system, dt)
     r0_norm = None
     converged = False
     for _ in range(newton.max_iters):
         tic = _time.perf_counter()
-        r, p_af, m_coef, stages = newton_residual(
+        r, p_af, stages = newton_residual(
             system, state, t, dt, v_l, vdot_l, p_l
         )
         rnorm = float(np.linalg.norm(r))

@@ -84,13 +84,13 @@ def random_tube_state(system, seed=3, scale=1.0):
 
 def tube_tangent(system, state=None, t=0.0, dt=5e-3):
     """Tangent frozen at a given iterate of the small tube system."""
-    from nbflow.timestep import newton_residual
+    from nbflow.timestep import newton_residual, outlet_flow_derivatives
 
     state = state if state is not None else random_tube_state(system)
     v_l, vdot_l, p_l = state.v.copy(), state.vdot.copy(), state.p.copy()
-    r, p_af, m_coef, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
+    r, p_af, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
     tangent = system.assembler.tangent(
-        *stages, p_af, m_coef, dt, system.genalpha, time=t
+        *stages, p_af, outlet_flow_derivatives(system, dt), dt, system.genalpha, time=t
     )
     return tangent, -r
 

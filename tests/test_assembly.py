@@ -13,7 +13,7 @@ from nbflow.assembly import (
     NavierStokesAssembler,
 )
 from nbflow.lumped import Resistance, Windkessel
-from nbflow.meshing import SIMPLEX_SCALING, metric_tensor
+from nbflow.meshing import SIMPLEX_SCALING, metric_tensor, surface_normal_weights
 from nbflow.quadrature import TET4_BARY, TET4_WEIGHTS, TRI3_BARY
 from nbflow.structured import box_mesh, tube_mesh
 from nbflow.timestep import (
@@ -23,9 +23,17 @@ from nbflow.timestep import (
     corrector_update,
     genalpha_params,
     newton_residual,
+    outlet_flow_derivatives,
 )
 
-from conftest import RHO, MU, reference_tet_mesh, two_tet_mesh_all_outlets
+from conftest import (
+    MU,
+    RHO,
+    reference_tet_mesh,
+    small_tube_system,
+    tube_tangent,
+    two_tet_mesh_all_outlets,
+)
 from test_krylov import assert_matches_ilu0_reference
 
 REF_G = SIMPLEX_SCALING  # metric of the reference tet (identity parent map)
@@ -191,7 +199,7 @@ def _volume_state_reference(asm, v, vdot, p, dt, time):
     s["udot"] = np.einsum("qa,eai->eqi", lam, vde)
     s["pq"] = np.einsum("qa,ea->eq", lam, pe)
     if asm.body_force is not None:
-        xq = np.einsum("qa,eai->eqi", lam, asm.xe)
+        xq = np.einsum("qa,eai->eqi", lam, asm.mesh.nodes[asm.conn])
         s["bq"] = np.asarray(asm.body_force(xq, time), dtype=float)
     else:
         s["bq"] = np.zeros_like(s["u"])
@@ -256,9 +264,35 @@ def _residual_reference(asm, v, vdot, p, outlet_pressures, dt, time=0.0):
     np.add.at(continuity, asm.conn.ravel(), rp.ravel())
     bc = np.zeros(3 * n)
     for name in asm.outlets:
-        bc += outlet_pressures[name] * asm._outlet_weights[name]
-    bf = asm._backflow_residual(v)
+        bc += outlet_pressures[name] * surface_normal_weights(asm.mesh, name).ravel()
+    bf = _backflow_residual_reference(asm, v)
     return vol + bc + bf, continuity, {"vol": vol, "bc": bc, "bf": bf}
+
+
+def _backflow_groups_reference(asm, v):
+    """Per outlet group: the group, its (K, 9) velocity dofs and the
+    quadrature velocity ``uq`` (K, q, i) and normal velocity ``un`` (K, q)."""
+    for name in asm.outlets:
+        group = asm.mesh.group(name)
+        tdofs = (3 * group.tris[:, :, None] + np.arange(3)).reshape(len(group.tris), 9)
+        uq = np.einsum("qa,kai->kqi", TRI3_BARY, v.reshape(-1, 3)[group.tris])
+        un = np.einsum("kqi,ki->kq", uq, group.normals)
+        yield group, tdofs, uq, un
+
+
+def _backflow_residual_reference(asm, v):
+    """Backflow residual scattered one outlet group at a time with ``np.add.at``."""
+    res = np.zeros(3 * asm.n_nodes)
+    if asm.beta == 0.0:
+        return res
+    lamt = TRI3_BARY
+    for group, tdofs, uq, un in _backflow_groups_reference(asm, v):
+        wt = group.areas / len(lamt)
+        contrib = -asm.rho * asm.beta * np.einsum(
+            "k,kq,qa,kqi->kai", wt, np.minimum(un, 0.0), lamt, uq
+        )
+        np.add.at(res, tdofs.ravel(), contrib.reshape(len(tdofs), 9).ravel())
+    return res
 
 
 def test_residual_partition_identity():
@@ -316,9 +350,10 @@ def _fd_error(system, state, t, dt, eps, rng):
     v_l = state.v + 0.5 * rng.normal(size=(n, 3))
     vdot_l = state.vdot + 0.5 * rng.normal(size=(n, 3))
     p_l = state.p + 0.5 * rng.normal(size=n)
-    r0, p_af, m_coef, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
+    r0, p_af, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
     tangent = system.assembler.tangent(
-        *stages, p_af, m_coef, dt, system.genalpha, time=t + system.genalpha.alpha_f * dt
+        *stages, p_af, outlet_flow_derivatives(system, dt), dt, system.genalpha,
+        time=t + system.genalpha.alpha_f * dt
     )
     delta = rng.normal(size=system.dofmap.n_free_v + system.dofmap.n_free_p)
     reference = tangent.apply(delta)
@@ -349,12 +384,14 @@ def test_tangent_finite_difference_two_tets():
 def test_tangent_rank_one_weight_for_resistance_outlet():
     system = _two_tet_system()
     state = _random_state(system)
-    _, p_af, m_coef, stages = newton_residual(
+    _, p_af, stages = newton_residual(
         system, state, 0.0, 2e-3, state.v, state.vdot, state.p
     )
     ga = system.genalpha
-    tangent = system.assembler.tangent(*stages, p_af, m_coef, 2e-3, ga)
-    for (w, _), name in zip(tangent.rank_one, system.assembler.outlets):
+    tangent = system.assembler.tangent(
+        *stages, p_af, outlet_flow_derivatives(system, 2e-3), 2e-3, ga
+    )
+    for w, name in zip(tangent.w, system.assembler.outlets):
         model = system.models[name]
         if isinstance(model, Resistance):
             assert w == pytest.approx(ga.alpha_f * ga.gamma * 2e-3 * model.R, rel=1e-14)
@@ -475,17 +512,15 @@ def _tangent_reference(asm, v, vdot, p, outlet_pressures, m_coeffs, dt, alpha,
     ).tocsr()
 
     fv, fp = asm.dofmap.free_v, asm.dofmap.free_p
-    tangent = BlockTangent(
+    a_rows = [surface_normal_weights(asm.mesh, name).ravel()[fv] for name in asm.outlets]
+    return BlockTangent(
         F=f_full[fv][:, fv],
         B=b_full[fv][:, fp],
         C=c_full[fp][:, fv],
         D=d_full[fp][:, fp],
+        w=[afgdt * m_coeffs[name] for name in asm.outlets],
+        A=np.reshape(a_rows, (len(asm.outlets), len(fv))),
     )
-    for name in asm.outlets:
-        w_k = afgdt * m_coeffs[name]
-        a_free = asm._outlet_weights[name][fv]
-        tangent.rank_one.append((w_k, a_free))
-    return tangent
 
 
 def _backflow_tangent_reference(asm, v, afgdt):
@@ -495,7 +530,7 @@ def _backflow_tangent_reference(asm, v, afgdt):
     rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     if asm.beta == 0.0:
         return rows[0], cols[0], vals[0]
-    for group, tdofs, uq, un in asm._backflow_surface_state(v):
+    for group, tdofs, uq, un in _backflow_groups_reference(asm, v):
         wt = group.areas / len(lamt)
         un_neg = np.minimum(un, 0.0)
         active = (un < 0.0).astype(float)
@@ -582,9 +617,8 @@ def test_tangent_matches_einsum_reference(case):
         assert new.F.nnz == asm._scatter["F"].nnz
         assert np.any(new.F.data == 0.0)
         assert np.any(new.B.data == 0.0)
-    assert len(new.rank_one) == len(ref.rank_one)
-    for (w_new, a_new), (w_ref, a_ref) in zip(new.rank_one, ref.rank_one):
-        assert w_new == w_ref and np.array_equal(a_new, a_ref)
+    assert np.array_equal(new.w, ref.w)
+    assert np.array_equal(new.A, ref.A)
 
 
 def test_velocity_block_pattern_is_structural():
@@ -667,22 +701,18 @@ def test_nan_state_rejected():
 
 
 class TestApplyBlock:
-    def _synthetic(self, rank_one=()):
-        import scipy.sparse as sp
-
+    def _synthetic(self, w=(), A=None):
         f = sp.eye(4, format="csr")
         b = sp.csr_matrix((4, 2))
         c = sp.csr_matrix((2, 4))
         d = sp.csr_matrix((2, 2))
-        return BlockTangent(F=f, B=b, C=c, D=d, rank_one=list(rank_one))
+        return BlockTangent(F=f, B=b, C=c, D=d, w=w, A=A)
 
     def test_zero_vector(self):
         t = self._synthetic()
         assert np.all(t.apply(np.zeros(6)) == 0.0)
 
     def test_matches_plain_block_multiply_without_rank_one(self):
-        import scipy.sparse as sp
-
         rng = np.random.default_rng(3)
         f = sp.random(5, 5, density=0.5, random_state=1, format="csr")
         b = sp.random(5, 3, density=0.5, random_state=2, format="csr")
@@ -696,7 +726,7 @@ class TestApplyBlock:
     def test_rank_one_action(self):
         e1 = np.zeros(4)
         e1[0] = 1.0
-        t = self._synthetic(rank_one=[(2.0, e1)])
+        t = self._synthetic(w=[2.0], A=[e1])
         x = np.concatenate([e1, np.zeros(2)])
         y = t.apply(x)
         assert np.allclose(y[:4], 3.0 * e1)
@@ -709,5 +739,91 @@ class TestApplyBlock:
     def test_a_diagonal_includes_rank_one(self):
         e1 = np.zeros(4)
         e1[0] = 1.0
-        t = self._synthetic(rank_one=[(2.0, e1)])
+        t = self._synthetic(w=[2.0], A=[e1])
         assert np.allclose(t.a_diagonal(), [3.0, 1.0, 1.0, 1.0])
+
+    def test_outlet_rows_must_match_weights(self):
+        with pytest.raises(ValueError, match="outlet rows"):
+            self._synthetic(w=[1.0, 2.0], A=np.ones((1, 4)))
+
+
+def _apply_velocity_block_reference(t, x_v):
+    """Per-outlet loop, the reference for the array form of the A action."""
+    y = t.F @ x_v
+    for w, a in zip(t.w, t.A):
+        y = y + (w * (a @ x_v)) * a
+    return y
+
+
+def _a_diagonal_reference(t):
+    d = t.F.diagonal().copy()
+    for w, a in zip(t.w, t.A):
+        d += w * a * a
+    return d
+
+
+def _dense_reference(t):
+    top = t.F.toarray()
+    for w, a in zip(t.w, t.A):
+        top = top + w * np.outer(a, a)
+    return np.block([[top, t.B.toarray()], [t.C.toarray(), t.D.toarray()]])
+
+
+@pytest.fixture(scope="module")
+def outlet_tangents():
+    """The single-outlet tube tangent, its blocks with one dense seeded
+    outlet row instead (every entry rounds), and with two more seeded
+    rows (three outlets)."""
+    single, _ = tube_tangent(small_tube_system())
+    rng = np.random.default_rng(4)
+    dense_row = BlockTangent(single.F, single.B, single.C, single.D,
+                             w=single.w, A=rng.normal(size=(1, single.n_v)))
+    extra = np.array([rng.permutation(single.A[0]) for _ in range(2)])
+    triple = BlockTangent(single.F, single.B, single.C, single.D,
+                          w=np.append(single.w, single.w[0] * rng.uniform(0.5, 2.0, 2)),
+                          A=np.vstack([single.A, extra]))
+    return {"one": single, "one_dense": dense_row, "three": triple}
+
+
+@pytest.mark.parametrize("case", ["one", "one_dense", "three"])
+def test_outlet_array_form_matches_per_outlet_loop(outlet_tangents, case):
+    """Bitwise for one outlet; for three only the summation order moves."""
+    t = outlet_tangents[case]
+    rng = np.random.default_rng(len(case))
+    pairs = [(_apply_velocity_block_reference(t, x), t.apply_velocity_block(x))
+             for x in rng.normal(size=(20, t.n_v))]
+    pairs += [(_a_diagonal_reference(t), t.a_diagonal()), (_dense_reference(t), t.dense())]
+    for expected, got in pairs:
+        if len(t.w) == 1:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def test_rank_one_view_has_the_bytes_of_the_outlet_arrays(outlet_tangents):
+    # The benchmark fingerprints a tangent through this view.
+    t = outlet_tangents["three"]
+    assert b"".join(np.ascontiguousarray(a).tobytes() for _, a in t.rank_one) \
+        == t.A.tobytes()
+    assert np.array([w for w, _ in t.rank_one]).tobytes() == t.w.tobytes()
+
+
+def test_outlet_arrays_of_the_three_outlet_box():
+    """Outlet rows are each group's normal weights; the backflow residual
+    over the concatenated triangles equals the per-group scatter bitwise,
+    nodes shared between outlet groups included."""
+    tags = {"zmin": ("inlet", "inlet"), "xmax": ("out_x", "outlet"),
+            "ymax": ("out_y", "outlet"), "zmax": ("out_z", "outlet")}
+    mesh = box_mesh(4, 4, 12, lengths=(2.0, 2.0, 6.0), face_tags=tags)
+    outlets = ["out_x", "out_y", "out_z"]
+    asm = NavierStokesAssembler(mesh, DofMap(mesh.n_nodes), RHO, MU, outlets=outlets)
+    shared = np.intersect1d(mesh.group("out_x").nodes, mesh.group("out_z").nodes)
+    assert len(shared) > 0
+    for row, name in zip(asm.outlet_weights, outlets):
+        assert np.array_equal(row, surface_normal_weights(mesh, name).ravel())
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=(mesh.n_nodes, 3))
+    expected = _backflow_residual_reference(asm, v)
+    assert np.abs(expected).max() > 0.0
+    assert np.array_equal(asm._backflow_residual(v), expected)
+

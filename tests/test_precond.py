@@ -43,7 +43,7 @@ def tube_blocks():
     return tangent, rhs, dense, schur
 
 
-def _synthetic_tangent(nv=12, npp=6, rank_one=(), diagonal_f=False, seed=0,
+def _synthetic_tangent(nv=12, npp=6, w=(), A=None, diagonal_f=False, seed=0,
                        b=None, c=None):
     rng = np.random.default_rng(seed)
     if diagonal_f:
@@ -53,7 +53,20 @@ def _synthetic_tangent(nv=12, npp=6, rank_one=(), diagonal_f=False, seed=0,
     b = sp.csr_matrix(b if b is not None else rng.normal(size=(nv, npp)))
     c = sp.csr_matrix(c if c is not None else rng.normal(size=(npp, nv)))
     d = sp.csr_matrix(rng.normal(size=(npp, npp)) + 4.0 * np.eye(npp))
-    return BlockTangent(F=f, B=b, C=c, D=d, rank_one=list(rank_one))
+    return BlockTangent(F=f, B=b, C=c, D=d, w=w, A=A)
+
+
+def _s_tilde(st, x):
+    """Action of BIPN's S_tilde = base + U diag(coeffs) V^T, one outlet
+    term at a time: the oracle for what ``BipnSchur`` builds."""
+    y = st.base @ x
+    for c, u, v in zip(st.coeffs, st.U.T, st.V.T):
+        y = y + c * (v @ x) * u
+    return y
+
+
+def _s_tilde_dense(st, n_p):
+    return np.column_stack([_s_tilde(st, e) for e in np.eye(n_p)])
 
 
 class TestSchurApply:
@@ -215,58 +228,76 @@ class TestBipnSchur:
     def test_no_outlets_reduces_to_sparse_approximation(self):
         t = _synthetic_tangent()
         st = BipnSchur(t)
-        dense = np.column_stack([st.apply(e) for e in np.eye(t.n_p)])
+        dense = _s_tilde_dense(st, t.n_p)
         assert np.allclose(dense, schur_sparse_approx(t).toarray(), rtol=1e-12)
 
     def test_sherman_morrison_exactness(self):
         rng = np.random.default_rng(9)
         a_vec = rng.normal(size=12)
         w = 3.7
-        t = _synthetic_tangent(diagonal_f=True, rank_one=[(w, a_vec)], seed=9)
+        t = _synthetic_tangent(diagonal_f=True, w=[w], A=[a_vec], seed=9)
         st = BipnSchur(t)
-        dense = np.column_stack([st.apply(e) for e in np.eye(t.n_p)])
+        dense = _s_tilde_dense(st, t.n_p)
         a_full = t.F.toarray() + w * np.outer(a_vec, a_vec)
         s_true = t.D.toarray() - t.C.toarray() @ sla.solve(a_full, t.B.toarray())
         assert np.abs(dense - s_true).max() < 1e-10 * np.abs(s_true).max()
 
     def test_zero_weight_correction_vanishes(self):
         a_vec = np.ones(12)
-        t = _synthetic_tangent(rank_one=[(0.0, a_vec)])
+        t = _synthetic_tangent(w=[0.0], A=[a_vec])
         st = BipnSchur(t)
-        assert not st.coeffs
-        dense = np.column_stack([st.apply(e) for e in np.eye(t.n_p)])
+        assert len(st.coeffs) == 0
+        dense = _s_tilde_dense(st, t.n_p)
         assert np.allclose(dense, schur_sparse_approx(t).toarray(), rtol=1e-12)
 
     def test_preconditioner_solves_s_tilde(self):
         rng = np.random.default_rng(11)
         a_vec = rng.normal(size=12)
-        t = _synthetic_tangent(diagonal_f=True, rank_one=[(2.5, a_vec)], seed=11)
+        t = _synthetic_tangent(diagonal_f=True, w=[2.5], A=[a_vec], seed=11)
         st = BipnSchur(t)
         apply_inv = st.preconditioner()
         x = rng.normal(size=t.n_p)
         # ILU(0) of the sparse base is exact here (base is dense-diagonal
         # dominated small matrix, but the identity only needs approximate
         # agreement).
-        y = apply_inv(st.apply(x))
+        y = apply_inv(_s_tilde(st, x))
         assert np.linalg.norm(y - x) < 1e-6 * np.linalg.norm(x)
 
     def test_woodbury_columns_batched_bitwise(self, tube_blocks):
         # One 2-D ILU apply builds the same correction as one apply per outlet.
         tangent, *_ = tube_blocks
         rng = np.random.default_rng(12)
-        extra = [(w, rng.normal(size=tangent.n_v)) for w in (40.0, 7.5)]
         t = BlockTangent(tangent.F, tangent.B, tangent.C, tangent.D,
-                         rank_one=tangent.rank_one + extra)
+                         w=np.append(tangent.w, [40.0, 7.5]),
+                         A=np.vstack([tangent.A, rng.normal(size=(2, tangent.n_v))]))
         st = BipnSchur(t)
         assert len(st.coeffs) == 3
         ilu = ILU0Preconditioner(st.base)
-        mu = np.column_stack([ilu.apply(u) for u in st.u_vectors])
-        vt = np.column_stack(st.v_vectors).T
-        cap = np.linalg.inv(np.diag(1.0 / np.asarray(st.coeffs)) + vt @ mu)
+        mu = np.column_stack([ilu.apply(u) for u in st.U.T])
+        vt = np.column_stack(list(st.V.T)).T
+        cap = np.linalg.inv(np.diag(1.0 / st.coeffs) + vt @ mu)
         apply_inv = st.preconditioner()
         for r in rng.normal(size=(4, t.n_p)):
             y = ilu.apply(r)
             assert np.array_equal(apply_inv(r), y - mu @ (cap @ (vt @ y)))
+
+    def test_outlet_arrays_match_per_outlet_loop(self, tube_blocks):
+        # Built as arrays, the Sherman-Morrison terms equal the ones built
+        # one outlet at a time, bitwise; zero-weight outlets are dropped.
+        tangent, *_ = tube_blocks
+        rng = np.random.default_rng(13)
+        t = BlockTangent(tangent.F, tangent.B, tangent.C, tangent.D,
+                         w=np.append(tangent.w, [0.0, 7.5]),
+                         A=np.vstack([tangent.A, rng.normal(size=(2, tangent.n_v))]))
+        st = BipnSchur(t)
+        inv_df = 1.0 / t.F.diagonal()
+        kept = [(w, a) for w, a in zip(t.w, t.A) if w != 0.0]
+        assert len(st.coeffs) == len(kept) == 2
+        for k, (w, a) in enumerate(kept):
+            b = inv_df * a
+            assert st.coeffs[k] == w / (1.0 + w * (a @ b))
+            assert np.array_equal(st.U[:, k], t.C @ b)
+            assert np.array_equal(st.V[:, k], t.B.T @ b)
 
     def test_usable_as_schur_preconditioner(self, tube_blocks):
         tangent, rhs, *_ = tube_blocks
