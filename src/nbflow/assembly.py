@@ -258,9 +258,9 @@ class NavierStokesAssembler:
     def residual(self, v, vdot, p, outlet_pressures, dt, time=0.0) -> Residual:
         """Assemble the momentum/continuity residual at the given state.
 
-        ``outlet_pressures`` maps each outlet group name to its coupled
-        traction magnitude; Dirichlet values are assumed to be embedded
-        in ``v`` already.
+        ``outlet_pressures`` is the (k,) array of coupled traction
+        magnitudes in the order of ``outlets``; Dirichlet values are
+        assumed to be embedded in ``v`` already.
 
         The volume terms are grouped into batched matmuls.  With
         ``wt = w tau_M`` and ``k = tau_M w (u - tau_M rM) . dN_a``:
@@ -270,7 +270,10 @@ class NavierStokesAssembler:
         grad-div.  Intermediates are freed as soon as they are used, so
         the peak memory stays a few state arrays.
         """
-        pressures = self._outlet_values(outlet_pressures, "pressure")
+        pressures = np.asarray(outlet_pressures, dtype=float)
+        if pressures.shape != (len(self.outlets),):
+            raise ValueError(f"expected {len(self.outlets)} outlet pressures, "
+                             f"got an array of shape {pressures.shape}")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
             raise ValueError("state contains non-finite values")
         lam = TET4_BARY
@@ -312,13 +315,6 @@ class NavierStokesAssembler:
         momentum += pressures @ self.outlet_weights
         momentum += self._backflow_residual(v)
         return Residual(momentum=momentum, continuity=continuity)
-
-    def _outlet_values(self, values, what):
-        """``(k,)`` array of a name-keyed outlet quantity, in outlet order."""
-        missing = [name for name in self.outlets if name not in values]
-        if missing:
-            raise ValueError(f"missing {what} for outlet {missing[0]!r}")
-        return np.array([values[name] for name in self.outlets], dtype=float)
 
     def _backflow_surface_state(self, v):
         """Velocity ``uq`` (K, q, i) and its normal part ``un`` (K, q) at the
@@ -363,13 +359,13 @@ class NavierStokesAssembler:
             "D": _BlockScatter([_element_pairs(conn, conn)], free_p, free_p),
         }
 
-    def tangent(self, v, vdot, p, outlet_pressures, m_coeffs, dt, alpha,
-                time=0.0) -> BlockTangent:
+    def tangent(self, v, vdot, p, m_coeffs, dt, alpha, time=0.0) -> BlockTangent:
         """Assemble the consistent block tangent.
 
-        ``m_coeffs`` maps outlet names to the flow derivative of the
-        reduced model; ``alpha`` provides ``alpha_m``, ``alpha_f`` and
-        ``gamma``.  Blocks are restricted to the free dofs.
+        ``m_coeffs`` is the (k,) array of the reduced models' flow
+        derivatives in the order of ``outlets``; ``alpha`` provides
+        ``alpha_m``, ``alpha_f`` and ``gamma``.  Blocks are restricted to
+        the free dofs.
 
         The terms of F are grouped by index structure: one batched matmul
         for the ``dtau_M`` and grad-div terms, one outer product for the
@@ -465,7 +461,7 @@ class NavierStokesAssembler:
             B=scatter["B"].matrix(b_el),
             C=scatter["C"].matrix(c_el.reshape(E, 4, 12)),
             D=scatter["D"].matrix(d_el),
-            w=afgdt * self._outlet_values(m_coeffs, "flow derivative"),
+            w=afgdt * np.asarray(m_coeffs, dtype=float),
             A=self.outlet_weights[:, self.dofmap.free_v],
         )
 

@@ -156,6 +156,9 @@ def _parse_waveform(text):
 def _outlet_model(section) -> LumpedModel:
     kind = section.get("type", "resistance").strip().lower()
     if kind == "resistance":
+        if section.get("initial_pi") is not None:
+            raise ConfigError(f"[{section.name}] initial_pi needs type = rcr; "
+                              "a resistance outlet has no state")
         return Resistance(
             R=section.getfloat("R"),
             P_d=section.getfloat("distal_pressure", Resistance.P_d),

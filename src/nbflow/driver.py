@@ -37,11 +37,10 @@ from .timestep import (
     apply_dirichlet,
     genalpha_params,
     newton_residual,
-    outlet_flow_derivatives,
     predictor,
 )
 from .vtkio import export_vtk
-from .lumped import initial_pressure
+from .lumped import tangent_m
 
 MMHG = 1333.22  # dyn/cm^2 per mmHg, display conversion only
 
@@ -128,13 +127,9 @@ def build_system(config: SimulationConfig, mesh: Mesh, rng=None) -> FlowSystem:
     """Assemble a transient flow system from a configuration."""
     rng = rng if rng is not None else np.random.default_rng(0)
     outlet_groups = [g.name for g in mesh.groups_with_tag("outlet")]
-    missing = [name for name in outlet_groups if name not in config.outlets]
-    if missing:
-        raise ValueError(f"outlet groups without a model: {missing}")
-    unknown = [name for name in config.outlets if name not in outlet_groups]
-    if unknown:
-        raise ValueError(f"models reference unknown outlet groups: {unknown}")
-
+    # In outlet-group order; FlowSystem rejects a missing or unknown name.
+    models = {name: config.outlets[name] for name in outlet_groups
+              if name in config.outlets} | config.outlets
     dirichlet_groups = [
         g.name for g in mesh.facet_groups.values() if g.tag in ("inlet", "wall")
     ]
@@ -160,7 +155,7 @@ def build_system(config: SimulationConfig, mesh: Mesh, rng=None) -> FlowSystem:
         mesh=mesh,
         dofmap=dofmap,
         assembler=assembler,
-        models=dict(config.outlets),
+        models=models,
         velocity_bcs=velocity_bcs,
         genalpha=genalpha_params(config.rho_inf),
         newton=config.newton,
@@ -192,10 +187,7 @@ def run_simulation(config: SimulationConfig, output_dir=None, deterministic=Fals
     rng = np.random.default_rng(seed)
     mesh = build_mesh(config.mesh)
     system = build_system(config, mesh, rng)
-    state = system.initial_state()
-    for name, pi0 in config.initial_pi.items():
-        state.outlets[name].pi = pi0
-        state.outlets[name].pressure = initial_pressure(system.models[name], pi0)
+    state = system.initial_state(config.initial_pi)
 
     outlet_names = sorted(system.models)
     step_rows = []
@@ -235,11 +227,8 @@ def run_simulation(config: SimulationConfig, output_dir=None, deterministic=Fals
                 0.0 if deterministic else report.solve_time,
             ]
             for name in outlet_names:
-                row += [
-                    report.flow_rates[name],
-                    report.pressures[name],
-                    report.pressures[name] / MMHG,  # derived display column
-                ]
+                out = state.outlets[name]
+                row += [out.flow, out.pressure, out.pressure / MMHG]  # mmHg: display only
             step_rows.append(row)
             for corrector, solve in enumerate(report.linear_solves, start=1):
                 for it, rel in enumerate(solve["history"]):
@@ -446,10 +435,9 @@ def freeze_newton_system(system: FlowSystem, state: FlowState, t, dt):
     v_l, vdot_l = predictor(state.v, state.vdot, ga.gamma)
     p_l, pdot_l = predictor(state.p, state.pdot, ga.gamma)
     apply_dirichlet(system, state, v_l, vdot_l, p_l, pdot_l, t + dt, dt)
-    r, p_af, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
-    tangent = system.assembler.tangent(
-        *stages, p_af, outlet_flow_derivatives(system, dt), dt, ga, time=t + ga.alpha_f * dt
-    )
+    r, _, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
+    m_coef = tangent_m(system.models.values(), dt, system.n_ts_0d)
+    tangent = system.assembler.tangent(*stages, m_coef, dt, ga, time=t + ga.alpha_f * dt)
     return tangent, -r
 
 

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
+import numpy as np
+
 
 def _as_pressure_fn(value) -> Callable[[float], float]:
     if callable(value):
@@ -161,28 +163,42 @@ def resistance_pressure(q: float, t: float, model: Resistance) -> float:
     return model.R * q + model.distal_pressure(t)
 
 
-def tangent_m(model: LumpedModel, dt, n_ts) -> float:
-    """Exact derivative of the end-of-step pressure with respect to the flow rate.
+def tangent_m(models, dt, n_ts) -> np.ndarray:
+    """Exact derivative of each end-of-step pressure with respect to its flow rate, (k,).
 
     Resistance models have the value R.  The Runge-Kutta update of the
     Windkessel is affine in ``q_np1``, so its derivative is the pressure
     reached from a zero state, zero distal pressure and a flow ramping
     from 0 to 1; it does not depend on the state.
     """
-    if isinstance(model, Resistance):
-        return model.R
-    return rk4_advance(replace(model, P_d=0.0), 0.0, 0.0, 1.0, dt, n_ts)[0]
+    return np.array([
+        model.R if isinstance(model, Resistance)
+        else rk4_advance(replace(model, P_d=0.0), 0.0, 0.0, 1.0, dt, n_ts)[0]
+        for model in models
+    ], dtype=float)
 
 
-def advance_outlet(model: LumpedModel, pi_n, q_n, q_np1, dt, n_ts, t_n=0.0):
-    """End-of-step pressure and state for either model variant."""
-    if isinstance(model, Resistance):
-        return resistance_pressure(q_np1, t_n + dt, model), pi_n
-    return rk4_advance(model, pi_n, q_n, q_np1, dt, n_ts, t_n)
+def advance_outlet(models, pi_n, q_n, q_np1, dt, n_ts, t_n=0.0):
+    """End-of-step pressures and states ``(p, pi)`` of every outlet, each (k,).
+
+    ``pi_n``, ``q_n`` and ``q_np1`` are (k,) in the order of ``models``.
+    Each Windkessel takes its own scalar ``rk4_advance`` on Python floats;
+    a resistance keeps its state.
+    """
+    columns = np.asarray([pi_n, q_n, q_np1], dtype=float).tolist()
+    out = [
+        (resistance_pressure(q1, t_n + dt, model), pi0) if isinstance(model, Resistance)
+        else rk4_advance(model, pi0, q0, q1, dt, n_ts, t_n)
+        for model, pi0, q0, q1 in zip(models, *columns)
+    ]
+    p, pi = np.array(out, dtype=float).reshape(len(out), 2).T
+    return p, pi
 
 
-def initial_pressure(model: LumpedModel, pi0=0.0, q0=0.0, t0=0.0) -> float:
-    """Outlet pressure consistent with the state at the initial time."""
-    if isinstance(model, Resistance):
-        return resistance_pressure(q0, t0, model)
-    return model.R_p * q0 + pi0 + model.distal_pressure(t0)
+def initial_pressure(models, pi0, t0=0.0) -> np.ndarray:
+    """Outlet pressures at zero flow with Windkessel states ``pi0``, (k,)."""
+    return np.array([
+        model.distal_pressure(t0) if isinstance(model, Resistance)
+        else pi + model.distal_pressure(t0)
+        for model, pi in zip(models, np.asarray(pi0, dtype=float).tolist())
+    ], dtype=float)

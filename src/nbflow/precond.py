@@ -219,9 +219,8 @@ class _SparseSchurSetup:
         self.settings = settings
         self.stats = SubSolveStats()
         self.pc_a = _build_pc_a(tangent, settings.pc_a)
-        self.s_hat = schur_sparse_approx(tangent)
+        self.s_hat, self.inv_diag_a = _diagonal_schur(tangent, tangent.a_diagonal(), "A")
         self.pc_s = _build_pc_s(tangent, self.s_hat, settings.pc_s)
-        self.inv_diag_a = 1.0 / tangent.a_diagonal()
 
 
 class SIMPLEPreconditioner(_SparseSchurSetup):

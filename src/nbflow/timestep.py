@@ -6,23 +6,23 @@ iterates, then repeats: evaluate outlet flow rates, advance the reduced
 models, build the intermediate-stage state, assemble the residual, test
 convergence, assemble the tangent, solve the block system
 for the acceleration increment with the configured outer solver and
-preconditioner, and apply the corrector update.  On exit the reduced
-models are advanced once more with the accepted flow rates to define
-their state at the new time level.
+preconditioner, and apply the corrector update.  The outlet pass of the
+accepted iterate defines the reduced-model state at the new time level.
+The k outlets travel as ``(k,)`` arrays in the order of ``assembler.outlets``.
 """
 
 from __future__ import annotations
 
 import logging
 import time as _time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .assembly import DofMap, NavierStokesAssembler
 from .krylov import SolverSettings, fgmres
-from .lumped import LumpedModel, advance_outlet, initial_pressure, tangent_m
+from .lumped import advance_outlet, initial_pressure, tangent_m
 from .meshing import Mesh, surface_flow_rate
 from .precond import NestedSettings, build_preconditioner
 
@@ -67,8 +67,7 @@ def corrector_update(y, ydot, dydot, gamma, dt):
     return y + gamma * dt * np.asarray(dydot), ydot + np.asarray(dydot)
 
 
-@dataclass
-class OutletState:
+class OutletState(NamedTuple):
     """Reduced-model state attached to one outlet at a time level."""
 
     pi: float = 0.0
@@ -86,24 +85,13 @@ class FlowState:
     pdot: np.ndarray
     outlets: dict = field(default_factory=dict)
 
-    @classmethod
-    def zero(cls, mesh: Mesh, outlet_names=()) -> "FlowState":
-        n = mesh.n_nodes
-        return cls(
-            v=np.zeros((n, 3)),
-            p=np.zeros(n),
-            vdot=np.zeros((n, 3)),
-            pdot=np.zeros(n),
-            outlets={name: OutletState() for name in outlet_names},
-        )
-
     def copy(self) -> "FlowState":
         return FlowState(
             v=self.v.copy(),
             p=self.p.copy(),
             vdot=self.vdot.copy(),
             pdot=self.pdot.copy(),
-            outlets={k: replace(s) for k, s in self.outlets.items()},
+            outlets=dict(self.outlets),
         )
 
 
@@ -150,7 +138,7 @@ class FlowSystem:
     mesh: Mesh
     dofmap: DofMap
     assembler: NavierStokesAssembler
-    models: dict  # outlet name -> LumpedModel
+    models: dict  # outlet name -> LumpedModel, in the order of assembler.outlets
     velocity_bcs: list = field(default_factory=list)
     pressure_pins: list = field(default_factory=list)
     genalpha: GenAlphaParams = field(default_factory=lambda: genalpha_params(0.5))
@@ -158,12 +146,21 @@ class FlowSystem:
     linear: LinearSolveConfig = field(default_factory=LinearSolveConfig)
     n_ts_0d: int = 100
 
-    def initial_state(self, t0=0.0) -> FlowState:
-        state = FlowState.zero(self.mesh, self.models)
-        for name, model in self.models.items():
-            out = state.outlets[name]
-            out.pressure = initial_pressure(model, out.pi, out.flow, t0)
-        return state
+    def __post_init__(self):
+        if list(self.models) != self.assembler.outlets:
+            raise ValueError(f"outlet models {list(self.models)} do not match the outlet "
+                             f"groups {self.assembler.outlets}: a missing or unknown outlet, "
+                             "or another order")
+
+    def initial_state(self, initial_pi=None) -> FlowState:
+        """Rest state at t = 0; ``initial_pi`` maps outlet names to a
+        starting Windkessel state (zero where absent)."""
+        n = self.mesh.n_nodes
+        pi = [(initial_pi or {}).get(name, 0.0) for name in self.models]
+        pressure = initial_pressure(self.models.values(), pi, 0.0)
+        return FlowState(v=np.zeros((n, 3)), p=np.zeros(n), vdot=np.zeros((n, 3)),
+                         pdot=np.zeros(n),
+                         outlets=_outlet_states(self, pi, pressure, np.zeros(len(pi))))
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -178,8 +175,6 @@ class TimeStepReport:
     converged: bool = False
     residual_norms: list = field(default_factory=list)
     linear_solves: list = field(default_factory=list)
-    flow_rates: dict = field(default_factory=dict)
-    pressures: dict = field(default_factory=dict)
     assembly_time: float = 0.0
     solve_time: float = 0.0
 
@@ -210,48 +205,45 @@ def apply_dirichlet(system: FlowSystem, state_n: FlowState, v, vdot, p, pdot,
         p[pin.node] = target
 
 
+def _outlet_states(system: FlowSystem, pi, pressure, flow) -> dict:
+    """Name-keyed ``OutletState``s from (k,) arrays in outlet order."""
+    rows = np.stack([pi, pressure, flow], axis=1).tolist()
+    return {name: OutletState(*row) for name, row in zip(system.models, rows)}
+
+
+def _outlet_arrays(system: FlowSystem, state: FlowState) -> np.ndarray:
+    """``(pi, pressure, flow)`` of the outlets at a time level, each (k,)."""
+    rows = [state.outlets[name] for name in system.models]
+    return np.array(rows, dtype=float).reshape(len(rows), 3).T
+
+
 def outlet_evaluation(system: FlowSystem, state_n: FlowState, t, dt, v_iterate):
-    """Flow rates and end-of-step reduced pressures."""
-    q_cur, p_new = {}, {}
-    for name, model in system.models.items():
-        out = state_n.outlets[name]
-        q = surface_flow_rate(system.mesh, name, v_iterate)
-        p, _ = advance_outlet(model, out.pi, out.flow, q, dt, system.n_ts_0d, t)
-        q_cur[name], p_new[name] = q, p
-    return q_cur, p_new
-
-
-def outlet_flow_derivatives(system: FlowSystem, dt) -> dict:
-    """Flow derivative of each reduced model over a step of ``dt``.
-
-    It does not depend on the state, so one value serves every Newton
-    iterate of a step.
-    """
-    return {name: tangent_m(model, dt, system.n_ts_0d)
-            for name, model in system.models.items()}
+    """End-of-step ``(pi, pressure, flow)`` of every outlet, each (k,), for
+    the flow rates of a velocity iterate: one pass of the reduced models."""
+    pi_n, _, q_n = _outlet_arrays(system, state_n)
+    q = np.array([surface_flow_rate(system.mesh, name, v_iterate) for name in system.models],
+                 dtype=float)
+    p, pi = advance_outlet(system.models.values(), pi_n, q_n, q, dt, system.n_ts_0d, t)
+    return pi, p, q
 
 
 def newton_residual(system: FlowSystem, state_n: FlowState, t, dt,
                     v_l, vdot_l, p_l):
     """Residual of one Newton iterate, restricted to the free dofs.
 
-    Returns ``(stacked_residual, outlet_pressures_at_alpha_f,
-    intermediate_states)``; the helpers are reused by the tangent
-    assembly and by consistency tests.
+    Returns ``(stacked_residual, (pi, pressure, flow), intermediate_states)``:
+    the outlets' end-of-step values at this iterate, each (k,), and the
+    intermediate-stage states the tangent is assembled at.
     """
     ga = system.genalpha
-    q_cur, p_new = outlet_evaluation(system, state_n, t, dt, v_l)
-    p_af = {
-        name: (1.0 - ga.alpha_f) * state_n.outlets[name].pressure
-        + ga.alpha_f * p_new[name]
-        for name in system.models
-    }
+    pi, p_new, q = outlet_evaluation(system, state_n, t, dt, v_l)
+    p_af = (1.0 - ga.alpha_f) * _outlet_arrays(system, state_n)[1] + ga.alpha_f * p_new
     v_af, vdot_am = intermediate_state(state_n.v, state_n.vdot, v_l, vdot_l, ga)
     p_afv, _ = intermediate_state(state_n.p, state_n.pdot, p_l, np.zeros_like(p_l), ga)
     res = system.assembler.residual(
         v_af, vdot_am, p_afv, p_af, dt, time=t + ga.alpha_f * dt
     )
-    return res.restricted(system.dofmap), p_af, (v_af, vdot_am, p_afv)
+    return res.restricted(system.dofmap), (pi, p_new, q), (v_af, vdot_am, p_afv)
 
 
 def advance_step(system: FlowSystem, state: FlowState, t, dt):
@@ -270,12 +262,12 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
     p_l, pdot_l = predictor(state.p, state.pdot, ga.gamma)
     apply_dirichlet(system, state, v_l, vdot_l, p_l, pdot_l, t + dt, dt)
 
-    m_coef = outlet_flow_derivatives(system, dt)
+    m_coef = tangent_m(system.models.values(), dt, system.n_ts_0d)
     r0_norm = None
     converged = False
     for _ in range(newton.max_iters):
         tic = _time.perf_counter()
-        r, p_af, stages = newton_residual(
+        r, outlets, stages = newton_residual(
             system, state, t, dt, v_l, vdot_l, p_l
         )
         rnorm = float(np.linalg.norm(r))
@@ -290,9 +282,8 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
                 f"residual {rnorm:.3e} exceeded {newton.divergence_ratio:.1e} "
                 f"times the initial residual {r0_norm:.3e} at t = {t:.6g}"
             )
-        v_af, vdot_am, p_afv = stages
         tangent = system.assembler.tangent(
-            v_af, vdot_am, p_afv, p_af, m_coef, dt, ga, time=t + ga.alpha_f * dt
+            *stages, m_coef, dt, ga, time=t + ga.alpha_f * dt
         )
         report.assembly_time += _time.perf_counter() - tic
 
@@ -335,18 +326,10 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
             f"iterations at t = {t:.6g}"
         )
 
-    # One more pass of the reduced models with the accepted flow rates
-    # defines the outlet state at the new time level.
-    new_outlets = {}
-    for name, model in system.models.items():
-        out = state.outlets[name]
-        q_fin = surface_flow_rate(system.mesh, name, v_l)
-        p_fin, pi_fin = advance_outlet(
-            model, out.pi, out.flow, q_fin, dt, system.n_ts_0d, t
-        )
-        new_outlets[name] = OutletState(pi=pi_fin, pressure=p_fin, flow=q_fin)
-        report.flow_rates[name] = q_fin
-        report.pressures[name] = p_fin
-
-    new_state = FlowState(v=v_l, p=p_l, vdot=vdot_l, pdot=pdot_l, outlets=new_outlets)
+    # The outlet pass of the accepted iterate defines the outlet state at
+    # the new time level; a step out of iterations takes one on its last.
+    if not converged:
+        outlets = outlet_evaluation(system, state, t, dt, v_l)
+    new_state = FlowState(v=v_l, p=p_l, vdot=vdot_l, pdot=pdot_l,
+                          outlets=_outlet_states(system, *outlets))
     return new_state, report

@@ -84,14 +84,14 @@ def random_tube_state(system, seed=3, scale=1.0):
 
 def tube_tangent(system, state=None, t=0.0, dt=5e-3):
     """Tangent frozen at a given iterate of the small tube system."""
-    from nbflow.timestep import newton_residual, outlet_flow_derivatives
+    from nbflow.lumped import tangent_m
+    from nbflow.timestep import newton_residual
 
     state = state if state is not None else random_tube_state(system)
     v_l, vdot_l, p_l = state.v.copy(), state.vdot.copy(), state.p.copy()
-    r, p_af, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
-    tangent = system.assembler.tangent(
-        *stages, p_af, outlet_flow_derivatives(system, dt), dt, system.genalpha, time=t
-    )
+    r, _, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
+    m_coef = tangent_m(system.models.values(), dt, system.n_ts_0d)
+    tangent = system.assembler.tangent(*stages, m_coef, dt, system.genalpha, time=t)
     return tangent, -r
 
 

@@ -119,6 +119,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[outlet.x]\ntype = magic\nR = 1\n")
 
+    def test_initial_pi_rejected_on_resistance_outlet(self):
+        # A resistance outlet has no state, so the value would be ignored.
+        with pytest.raises(ConfigError, match=r"\[outlet.x\] initial_pi needs type = rcr"):
+            parse_config("[outlet.x]\ntype = resistance\nR = 1\ninitial_pi = 5\n")
+        cfg = parse_config("[outlet.x]\ntype = rcr\nRp = 1\nC = 1\nRd = 1\ninitial_pi = 5\n")
+        assert cfg.initial_pi == {"x": 5.0}
+
     def test_with_resistance(self):
         cfg = parse_config("[outlet.a]\ntype = resistance\nR = 10\n")
         swapped = with_resistance(cfg, 1e5)

@@ -12,7 +12,7 @@ from nbflow.assembly import (
     DofMap,
     NavierStokesAssembler,
 )
-from nbflow.lumped import Resistance, Windkessel
+from nbflow.lumped import Resistance, Windkessel, tangent_m
 from nbflow.meshing import SIMPLEX_SCALING, metric_tensor, surface_normal_weights
 from nbflow.quadrature import TET4_BARY, TET4_WEIGHTS, TRI3_BARY
 from nbflow.structured import box_mesh, tube_mesh
@@ -23,7 +23,6 @@ from nbflow.timestep import (
     corrector_update,
     genalpha_params,
     newton_residual,
-    outlet_flow_derivatives,
 )
 
 from conftest import (
@@ -101,7 +100,7 @@ def _single_tet_assembler(**kw):
 def test_zero_state_zero_residual():
     mesh, asm = _single_tet_assembler()
     n = mesh.n_nodes
-    res = asm.residual(np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n), {}, 1e-3)
+    res = asm.residual(np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n), (), 1e-3)
     assert np.all(res.momentum == 0.0)
     assert np.all(res.continuity == 0.0)
 
@@ -112,7 +111,7 @@ def test_constant_velocity_interior_rows_vanish():
     asm = NavierStokesAssembler(mesh, dofmap, RHO, MU, outlets=[], beta=0.0)
     n = mesh.n_nodes
     v = np.tile([0.4, -0.3, 1.1], (n, 1))
-    res = asm.residual(v, np.zeros((n, 3)), np.zeros(n), {}, 1e-3)
+    res = asm.residual(v, np.zeros((n, 3)), np.zeros(n), (), 1e-3)
     boundary = np.unique(np.concatenate([g.nodes for g in mesh.facet_groups.values()]))
     interior = np.setdiff1d(np.arange(n), boundary)
     assert interior.size > 0
@@ -174,7 +173,7 @@ def test_single_tet_matches_quadrature_oracle(stabilization):
     v = np.array([v_fn(p) for p in mesh.nodes])
     p = np.ones(n)
     dt = 1e-3
-    res = asm.residual(v, np.zeros((n, 3)), p, {}, dt)
+    res = asm.residual(v, np.zeros((n, 3)), p, (), dt)
     rm, rp = _oracle_residual(mesh, v_fn, 1.0, RHO, MU, dt, stabilization)
     scale = max(np.abs(rm).max(), np.abs(rp).max())
     assert np.abs(res.momentum.reshape(n, 3)[mesh.tets[0]] - rm).max() < 1e-12 * scale
@@ -263,8 +262,8 @@ def _residual_reference(asm, v, vdot, p, outlet_pressures, dt, time=0.0):
     continuity = np.zeros(n)
     np.add.at(continuity, asm.conn.ravel(), rp.ravel())
     bc = np.zeros(3 * n)
-    for name in asm.outlets:
-        bc += outlet_pressures[name] * surface_normal_weights(asm.mesh, name).ravel()
+    for name, pressure in zip(asm.outlets, outlet_pressures):
+        bc += pressure * surface_normal_weights(asm.mesh, name).ravel()
     bf = _backflow_residual_reference(asm, v)
     return vol + bc + bf, continuity, {"vol": vol, "bc": bc, "bf": bf}
 
@@ -299,7 +298,7 @@ def test_residual_partition_identity():
     system = _two_tet_system()
     state = _random_state(system, seed=2)
     asm = system.assembler
-    args = (state.v, state.vdot, state.p, {name: 3.0 for name in system.models}, 1e-2)
+    args = (state.v, state.vdot, state.p, np.full(len(system.models), 3.0), 1e-2)
     res = asm.residual(*args)
     _, _, parts = _residual_reference(asm, *args)
     assert np.abs(parts["bf"]).max() > 0.0
@@ -350,9 +349,9 @@ def _fd_error(system, state, t, dt, eps, rng):
     v_l = state.v + 0.5 * rng.normal(size=(n, 3))
     vdot_l = state.vdot + 0.5 * rng.normal(size=(n, 3))
     p_l = state.p + 0.5 * rng.normal(size=n)
-    r0, p_af, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
+    r0, _, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
     tangent = system.assembler.tangent(
-        *stages, p_af, outlet_flow_derivatives(system, dt), dt, system.genalpha,
+        *stages, tangent_m(system.models.values(), dt, system.n_ts_0d), dt, system.genalpha,
         time=t + system.genalpha.alpha_f * dt
     )
     delta = rng.normal(size=system.dofmap.n_free_v + system.dofmap.n_free_p)
@@ -384,12 +383,12 @@ def test_tangent_finite_difference_two_tets():
 def test_tangent_rank_one_weight_for_resistance_outlet():
     system = _two_tet_system()
     state = _random_state(system)
-    _, p_af, stages = newton_residual(
+    _, _, stages = newton_residual(
         system, state, 0.0, 2e-3, state.v, state.vdot, state.p
     )
     ga = system.genalpha
     tangent = system.assembler.tangent(
-        *stages, p_af, outlet_flow_derivatives(system, 2e-3), 2e-3, ga
+        *stages, tangent_m(system.models.values(), 2e-3, system.n_ts_0d), 2e-3, ga
     )
     for w, name in zip(tangent.w, system.assembler.outlets):
         model = system.models[name]
@@ -397,8 +396,7 @@ def test_tangent_rank_one_weight_for_resistance_outlet():
             assert w == pytest.approx(ga.alpha_f * ga.gamma * 2e-3 * model.R, rel=1e-14)
 
 
-def _tangent_reference(asm, v, vdot, p, outlet_pressures, m_coeffs, dt, alpha,
-                       time=0.0) -> BlockTangent:
+def _tangent_reference(asm, v, vdot, p, m_coeffs, dt, alpha, time=0.0) -> BlockTangent:
     """Term-by-term einsum tangent, the reference for the grouped kernels.
 
     Each of the 23 velocity-velocity terms is its own einsum; the blocks
@@ -518,7 +516,7 @@ def _tangent_reference(asm, v, vdot, p, outlet_pressures, m_coeffs, dt, alpha,
         B=b_full[fv][:, fp],
         C=c_full[fp][:, fv],
         D=d_full[fp][:, fp],
-        w=[afgdt * m_coeffs[name] for name in asm.outlets],
+        w=[afgdt * m for m in m_coeffs],
         A=np.reshape(a_rows, (len(asm.outlets), len(fv))),
     )
 
@@ -562,14 +560,14 @@ def _tube_tangent_case(case):
         v = np.tile([0.0, 0.0, -1.5], (n, 1)) + 0.3 * rng.normal(size=(n, 3))
         vdot = rng.normal(size=(n, 3))
         p = 10.0 * rng.normal(size=n)
-    args = (v, vdot, p, {k: 2.0 for k in outlets}, {k: 40.0 for k in outlets},
-            1e-3, genalpha_params(0.5))
+    args = (v, vdot, p, np.full(len(outlets), 40.0), 1e-3, genalpha_params(0.5))
     return asm, args
 
 
 @pytest.mark.parametrize("case", ["backflow", "unstabilized", "body_force", "no_outlets"])
 def test_residual_matches_einsum_reference(case):
-    asm, (v, vdot, p, pressures, _, dt, _) = _tube_tangent_case(case)
+    asm, (v, vdot, p, _, dt, _) = _tube_tangent_case(case)
+    pressures = np.full(len(asm.outlets), 2.0)
     momentum, continuity, parts = _residual_reference(asm, v, vdot, p, pressures, dt, time=0.1)
     if case == "backflow":
         assert np.abs(parts["bf"]).max() > 0.0
@@ -585,7 +583,7 @@ def test_residual_peak_memory_per_tet():
     rng = np.random.default_rng(5)
     n = mesh.n_nodes
     args = (rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), rng.normal(size=n),
-            {"outlet": 1.0}, 1e-3)
+            np.array([1.0]), 1e-3)
     asm.residual(*args)
     tracemalloc.start()
     try:
@@ -644,9 +642,7 @@ def test_stokes_limit_symmetry():
     ga = genalpha_params(0.5)
     tangent = asm.tangent(
         np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n),
-        {k: 0.0 for k in mesh.facet_groups},
-        {k: 0.0 for k in mesh.facet_groups},
-        1e-3, ga,
+        np.zeros(len(mesh.facet_groups)), 1e-3, ga,
     )
     f = tangent.F.toarray()
     assert np.abs(f - f.T).max() < 1e-12 * np.abs(f).max()
@@ -663,7 +659,7 @@ def test_divergence_block_is_negative_gradient_transpose_without_stabilization()
     ga = genalpha_params(0.5)
     tangent = asm.tangent(
         rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), rng.normal(size=n),
-        {"outlet": 1.0}, {"outlet": 10.0}, 1e-3, ga,
+        np.array([10.0]), 1e-3, ga,
     )
     b = tangent.B.toarray()
     c = tangent.C.toarray()
@@ -682,13 +678,14 @@ def test_backflow_vanishes_for_outflow_state():
     assert np.abs(asm._backflow_residual(v_in)).max() > 0.0
 
 
-def test_missing_outlet_pressure_rejected():
+def test_wrong_length_outlet_pressures_rejected():
     mesh = tube_mesh(1.0, 2.0, n_r=1, n_theta=5, n_z=2)
     dofmap = DofMap(mesh.n_nodes)
     asm = NavierStokesAssembler(mesh, dofmap, RHO, MU, outlets=["outlet"])
     n = mesh.n_nodes
-    with pytest.raises(ValueError, match="missing pressure"):
-        asm.residual(np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n), {}, 1e-3)
+    for pressures in ((), (1.0, 2.0), 1.0, [[1.0]]):
+        with pytest.raises(ValueError, match="expected 1 outlet pressures"):
+            asm.residual(np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n), pressures, 1e-3)
 
 
 def test_nan_state_rejected():
@@ -697,7 +694,7 @@ def test_nan_state_rejected():
     v = np.zeros((n, 3))
     v[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        asm.residual(v, np.zeros((n, 3)), np.zeros(n), {}, 1e-3)
+        asm.residual(v, np.zeros((n, 3)), np.zeros(n), (), 1e-3)
 
 
 class TestApplyBlock:

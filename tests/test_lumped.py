@@ -143,12 +143,12 @@ def test_resistance_pressure_values():
 def test_tangent_resistance_exact():
     model = Resistance(R=1333.0)
     for dt, n_ts in ((1e-3, 1), (2e-2, 40), (1.0, 7)):
-        assert tangent_m(model, dt, n_ts) == 1333.0
+        assert tangent_m([model], dt, n_ts).tolist() == [1333.0]
 
 
 def test_tangent_large_compliance_limit():
     model = Windkessel(R_p=77.0, C=1e8, R_d=1.0)
-    m = tangent_m(model, 1e-3, 10)
+    (m,) = tangent_m([model], 1e-3, 10)
     assert m == pytest.approx(77.0, rel=1e-6)
 
 
@@ -173,7 +173,7 @@ def test_tangent_matches_symbolic_rk4_derivative():
         k4 = rhs(pi + (k1 - k2 + k3) * h, qm1)
         pi = pi + h * (k1 + 3 * k2 + 3 * k3 + k4) / 8
     exact = float(sympy.diff(r_p * q1 + pi, q1))
-    assert tangent_m(WK, 1e-3, 10) == pytest.approx(exact, rel=1e-14)
+    assert tangent_m([WK], 1e-3, 10)[0] == pytest.approx(exact, rel=1e-14)
 
 
 @given(
@@ -223,13 +223,27 @@ def test_windkessel_converges_to_resistance_as_compliance_vanishes():
 
 
 def test_advance_outlet_dispatch():
-    p, pi = advance_outlet(Resistance(R=10.0, P_d=1.0), 5.0, 0.0, 3.0, 1e-2, 4)
-    assert p == pytest.approx(31.0)
-    assert pi == 5.0  # untouched for resistance models
-    p_wk, pi_wk = advance_outlet(WK, 0.0, 1.0, 1.0, 1e-3, 4)
-    assert pi_wk > 0.0
+    models = [Resistance(R=10.0, P_d=1.0), WK, Resistance(R=2.0)]
+    p, pi = advance_outlet(models, [5.0, 0.0, 0.0], [0.0, 1.0, 0.0], [3.0, 1.0, 4.0],
+                           1e-3, 4)
+    assert p.shape == pi.shape == (3,)
+    assert p[0] == pytest.approx(31.0) and p[2] == 8.0
+    assert pi[0] == 5.0 and pi[2] == 0.0  # untouched for resistance models
+    # The Windkessel entry is its own scalar rk4_advance, bit for bit.
+    assert (p[1], pi[1]) == rk4_advance(WK, 0.0, 1.0, 1.0, 1e-3, 4)
+    assert pi[1] > 0.0
+    empty = advance_outlet([], [], [], [], 1e-3, 4)
+    assert [a.shape for a in empty] == [(0,), (0,)]
+
+
+def test_tangent_m_dispatch():
+    m = tangent_m([Resistance(R=7.0), WK], 1e-3, 10)
+    assert m.shape == (2,) and m[0] == 7.0
+    assert m[1] == rk4_advance(WK, 0.0, 0.0, 1.0, 1e-3, 10)[0]
+    assert tangent_m([], 1e-3, 10).shape == (0,)
 
 
 def test_initial_pressure():
-    assert initial_pressure(Resistance(R=100.0, P_d=4.0), q0=2.0) == 204.0
-    assert initial_pressure(WK, pi0=10.0, q0=1.0) == pytest.approx(WK.R_p + 10.0)
+    models = [Resistance(R=100.0, P_d=4.0), WK, Windkessel(R_p=1.0, C=1.0, R_d=1.0, P_d=3.0)]
+    p = initial_pressure(models, [0.0, 10.0, 2.0], 0.0)
+    assert p.tolist() == [4.0, 10.0, 5.0]

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbflow import timestep
 from nbflow.structured import box_mesh
 from nbflow.assembly import DofMap, NavierStokesAssembler
 from nbflow.krylov import SolverSettings
-from nbflow.lumped import Resistance
+from nbflow.lumped import Resistance, Windkessel
 from nbflow.mms import ShearFlowSolution, l2_error
 from nbflow.precond import NestedSettings
 from nbflow.timestep import (
@@ -17,6 +18,7 @@ from nbflow.timestep import (
     FlowSystem,
     LinearSolveConfig,
     NewtonSettings,
+    OutletState,
     advance_step,
     corrector_update,
     genalpha_params,
@@ -24,7 +26,7 @@ from nbflow.timestep import (
     predictor,
 )
 
-from conftest import RHO, MU, cylinder_system, small_tube_system
+from conftest import RHO, MU, cylinder_system, small_tube_system, two_tet_mesh_all_outlets
 
 
 class TestGenAlphaParams:
@@ -247,3 +249,63 @@ def test_solver_trouble_logged(caplog, monkeypatch):
     assert "outer FGMRES stagnated in the step from t = 0" in text
     assert "preconditioner sub-solves failed in the step from t = 0; first: " in text
     assert "no convergence in 1 iterations" in text
+
+
+def test_flow_system_requires_one_model_per_outlet_in_outlet_order():
+    mesh = two_tet_mesh_all_outlets()
+    dofmap = DofMap(mesh.n_nodes)
+    names = list(mesh.facet_groups)
+    asm = NavierStokesAssembler(mesh, dofmap, RHO, MU, outlets=names)
+    model = Resistance(R=1.0)
+    FlowSystem(mesh=mesh, dofmap=dofmap, assembler=asm, models=dict.fromkeys(names, model))
+    for bad in (names[::-1], names[1:], names + ["elsewhere"]):
+        with pytest.raises(ValueError, match="do not match the outlet groups"):
+            FlowSystem(mesh=mesh, dofmap=dofmap, assembler=asm,
+                       models=dict.fromkeys(bad, model))
+
+
+def test_initial_state_takes_windkessel_states():
+    system = small_tube_system(model=Windkessel(R_p=100.0, C=1e-4, R_d=1233.0, P_d=7.0))
+    assert system.initial_state().outlets == {"outlet": OutletState(0.0, 7.0, 0.0)}
+    state = system.initial_state({"outlet": 500.0})
+    assert state.outlets == {"outlet": OutletState(pi=500.0, pressure=507.0, flow=0.0)}
+    assert np.all(state.v == 0.0) and np.all(state.pdot == 0.0)
+
+
+def _count_outlet_passes(monkeypatch):
+    calls = []
+    real = timestep.advance_outlet
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(timestep, "advance_outlet", counting)
+    return calls
+
+
+def test_converged_step_makes_one_outlet_pass_per_residual(monkeypatch):
+    calls = _count_outlet_passes(monkeypatch)
+    system = cylinder_system(n_r=2, n_theta=8, n_z=4)
+    t, dt = 0.0, 3.15e-3
+    state = system.initial_state()
+    new, report = advance_step(system, state, t, dt)
+    assert report.converged and report.iterations >= 1
+    assert len(calls) == len(report.residual_norms)
+    pi, p, q = timestep.outlet_evaluation(system, state, t, dt, new.v)
+    assert new.outlets == {"outlet": OutletState(pi[0], p[0], q[0])}
+
+
+def test_unconverged_step_makes_one_more_outlet_pass(monkeypatch):
+    calls = _count_outlet_passes(monkeypatch)
+    system = cylinder_system(n_r=2, n_theta=8, n_z=4)
+    system.newton = NewtonSettings(tol_rel=1e-14, tol_abs=1e-16, max_iters=1)
+    t, dt = 0.0, 3.15e-3
+    state = system.initial_state()
+    new, report = advance_step(system, state, t, dt)
+    assert not report.converged and len(report.residual_norms) == 1
+    assert len(calls) == 2
+    # The extra pass reads the final iterate, not the one of the residual.
+    pi, p, q = timestep.outlet_evaluation(system, state, t, dt, new.v)
+    assert new.outlets == {"outlet": OutletState(pi[0], p[0], q[0])}
+    assert calls[1][3][0] == q[0] != calls[0][3][0]
