@@ -72,9 +72,6 @@ class DofMap:
         """Stack the free components of full-length residual vectors."""
         return np.concatenate([momentum[self.free_v], continuity[self.free_p]])
 
-    def split(self, stacked):
-        return stacked[: self.n_free_v], stacked[self.n_free_v:]
-
     def expand(self, stacked):
         """Scatter a stacked free vector into full (3N,) and (N,) arrays."""
         dv = np.zeros(3 * self.n_nodes)

@@ -37,11 +37,12 @@ Example::
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Optional
 
 from .krylov import SolverSettings
-from .lumped import LumpedModel, Resistance, Windkessel
+from .lumped import Resistance, Windkessel
 from .precond import NestedSettings, PRECONDITIONERS
 from .timestep import LinearSolveConfig, NewtonSettings
 
@@ -137,189 +138,181 @@ class SimulationConfig:
             raise ConfigError(f"unknown preconditioner {self.solver.preconditioner!r}")
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.replace(",", " ").split())
+def _split(convert):
+    """Reader of a comma- or space-separated list."""
+    return lambda text: tuple(convert(v) for v in text.replace(",", " ").split())
 
 
-def _ints(text):
-    return tuple(int(v) for v in text.replace(",", " ").split())
+def _pair(chunk):
+    t, q = chunk.split(":")
+    return float(t), float(q)
 
 
-def _parse_waveform(text):
-    pairs = []
-    for chunk in text.replace(",", " ").split():
-        t, q = chunk.split(":")
-        pairs.append((float(t), float(q)))
-    return tuple(pairs)
+# Readers of the tuple fields; every other field is read as the type of its default.
+_TUPLES = {"waveform": _split(_pair), "resistances": _split(float),
+           "step_counts": _split(int), "mesh_sizes": _split(int)}
 
 
-def _outlet_model(section) -> LumpedModel:
-    kind = section.get("type", "resistance").strip().lower()
-    if kind == "resistance":
-        if section.get("initial_pi") is not None:
-            raise ConfigError(f"[{section.name}] initial_pi needs type = rcr; "
-                              "a resistance outlet has no state")
-        return Resistance(
-            R=section.getfloat("R"),
-            P_d=section.getfloat("distal_pressure", Resistance.P_d),
-        )
-    if kind == "rcr":
-        return Windkessel(
-            R_p=section.getfloat("Rp"),
-            C=section.getfloat("C"),
-            R_d=section.getfloat("Rd"),
-            P_d=section.getfloat("distal_pressure", Windkessel.P_d),
-        )
-    raise ConfigError(f"unknown outlet model type {kind!r}")
+def _field_keys(prefix, cls, skip=()):
+    """Keys named after the fields of ``cls``, each filling ``prefix + field``."""
+    return {f.name: prefix + f.name for f in fields(cls) if f.name not in skip}
 
 
-def _solver_settings(section, prefix, defaults: SolverSettings) -> SolverSettings:
-    return SolverSettings(
-        restart=section.getint(f"restart_{prefix}", defaults.restart),
-        rtol=section.getfloat(f"tol_{prefix}", defaults.rtol),
-        atol=section.getfloat(f"atol_{prefix}", defaults.atol),
-        max_iters=section.getint(f"max_iters_{prefix}", defaults.max_iters),
-    )
+# Keys of [solver] and [benchcase.*], as fields of LinearSolveConfig and BenchCase.
+_CASE_KEYS = {
+    "preconditioner": "preconditioner",
+    "restart_a": "nested.a_solve.restart", "tol_a": "nested.a_solve.rtol",
+    "atol_a": "nested.a_solve.atol", "max_iters_a": "nested.a_solve.max_iters",
+    "restart_s": "nested.s_solve.restart", "tol_s": "nested.s_solve.rtol",
+    "atol_s": "nested.s_solve.atol", "max_iters_s": "nested.s_solve.max_iters",
+    "tol_i": "nested.inner_rtol", "pc_a": "nested.pc_a", "pc_s": "nested.pc_s",
+}
+
+# Section -> key -> dotted field of SimulationConfig.  [mesh] is free-form
+# (its keys are builder arguments); [outlet.*] keys follow _OUTLET_KEYS.
+_KEYS = {
+    "fluid": {k: k for k in ("density", "viscosity", "backflow_beta")},
+    "time": {k: k for k in ("dt", "steps", "rho_inf")},
+    "newton": _field_keys("newton.", NewtonSettings),
+    "inflow": _field_keys("inflow.", InflowConfig),
+    "solver": {**{f"outer_{f.name}": f"solver.outer.{f.name}" for f in fields(SolverSettings)},
+               **{k: f"solver.{v}" for k, v in _CASE_KEYS.items()}, "n_ts_0d": "n_ts_0d"},
+    "output": _field_keys("output.", OutputConfig),
+    "bench": _field_keys("bench.", BenchConfig, skip=("cases",)),
+    "mms": _field_keys("mms.", MMSConfig),
+}
+
+# Outlet keys by model type, as fields of the model; ``type`` picks the model.
+# ``initial_pi`` fills no field: it is a Windkessel's starting state.
+_DISTAL = {"distal_pressure": "P_d"}
+_OUTLET_KEYS = {
+    "resistance": (Resistance, {"R": "R", **_DISTAL}),
+    "rcr": (Windkessel, {"Rp": "R_p", "C": "C", "Rd": "R_d", **_DISTAL, "initial_pi": "state"}),
+}
+# configparser lower-cases keys: lower-case key -> key as written above.
+_OUTLET_NAMES = {k.lower(): k for _, keys in _OUTLET_KEYS.values() for k in keys}
 
 
-def _nested_settings(section, base: NestedSettings) -> NestedSettings:
-    return NestedSettings(
-        a_solve=_solver_settings(section, "a", base.a_solve),
-        s_solve=_solver_settings(section, "s", base.s_solve),
-        inner_rtol=section.getfloat("tol_i", base.inner_rtol),
-        pc_a=section.get("pc_a", base.pc_a).strip(),
-        pc_s=section.get("pc_s", base.pc_s).strip(),
-    )
+def _convert(section, key, text, default, name):
+    """``text`` read as the type of ``default``, the default of field ``name``."""
+    try:
+        if isinstance(default, bool):
+            if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+                raise ValueError(f"not a boolean: {text!r}")
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        return (_TUPLES[name] if isinstance(default, tuple) else type(default))(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
+def _section_values(section, items, keys, base) -> dict:
+    """Dotted field -> value for a section's ``(key, text)`` items, typed by ``base``."""
+    values = {}
+    for key, text in items:
+        if key not in keys:
+            raise ConfigError(f"[{section}] {key}: unknown key")
+        path = keys[key]
+        default = attrgetter(path)(base)
+        values[path] = _convert(section, key, text, default, path.rpartition(".")[2])
+    return values
+
+
+def _replace(obj, values: dict):
+    """``obj`` with its dotted fields set: one ``replace`` per settings object."""
+    changes, nested = {}, {}
+    for path, value in values.items():
+        head, dot, rest = path.partition(".")
+        if dot:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            changes[head] = value
+    for head, sub in nested.items():
+        changes[head] = _replace(getattr(obj, head), sub)
+    return replace(obj, **changes)
+
+
+def _outlet(section, items):
+    """The model of an ``[outlet.<group>]`` section and its starting state (or None)."""
+    given = dict(items)
+    kind = given.pop("type", "resistance").strip().lower()
+    if kind not in _OUTLET_KEYS:
+        raise ConfigError(f"[{section}] type: unknown outlet model type {kind!r}")
+    model, keys = _OUTLET_KEYS[kind]
+    values = {}
+    for key, text in given.items():
+        name = _OUTLET_NAMES.get(key)
+        if name in keys:
+            values[keys[name]] = _convert(section, key, text, 0.0, name)
+        elif name is not None:
+            owner, target = next((t, k[name]) for t, (_, k) in _OUTLET_KEYS.items() if name in k)
+            raise ConfigError(f"[{section}] {name} needs type = {owner}; "
+                              f"a {kind} outlet has no {target}")
+        else:
+            raise ConfigError(f"[{section}] {key}: unknown key")
+    state = values.pop("state", None)
+    required = {f.name for f in fields(model) if f.default is MISSING}
+    missing = [k for k, f in keys.items() if f in required and f not in values]
+    if missing:
+        raise ConfigError(f"[{section}] {missing[0]}: missing; type = {kind} needs it")
+    return model(**values), state
 
 
 def parse_config(text: str) -> SimulationConfig:
     """Parse a configuration from its text content.
 
     A key that is absent takes the default of the dataclass field it fills.
+    An unknown section or key, a key of the other outlet type, a missing
+    outlet key or a malformed value is a ``ConfigError`` naming the section
+    and the key.
     """
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"),
-        converters={"floats": _floats, "ints": _ints, "waveform": _parse_waveform},
-    )
-    parser.read_string(text)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        parser.read_string(text)
+        return _build(parser)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
 
-    base = SimulationConfig()
-    kwargs = {}
-    if parser.has_section("mesh"):
-        sec = parser["mesh"]
-        params = {
-            k: float(v) if "." in v or "e" in v.lower() else int(v)
-            for k, v in sec.items()
-            if k not in ("path", "builtin")
-        }
-        kwargs["mesh"] = MeshSource(
-            path=sec.get("path"), builtin=sec.get("builtin"), params=params
-        )
-    if parser.has_section("fluid"):
-        sec = parser["fluid"]
-        kwargs["density"] = sec.getfloat("density", base.density)
-        kwargs["viscosity"] = sec.getfloat("viscosity", base.viscosity)
-        kwargs["backflow_beta"] = sec.getfloat("backflow_beta", base.backflow_beta)
-    if parser.has_section("time"):
-        sec = parser["time"]
-        kwargs["dt"] = sec.getfloat("dt", base.dt)
-        kwargs["steps"] = sec.getint("steps", base.steps)
-        kwargs["rho_inf"] = sec.getfloat("rho_inf", base.rho_inf)
-    if parser.has_section("newton"):
-        sec = parser["newton"]
-        newton = base.newton
-        kwargs["newton"] = NewtonSettings(
-            tol_rel=sec.getfloat("tol_rel", newton.tol_rel),
-            tol_abs=sec.getfloat("tol_abs", newton.tol_abs),
-            max_iters=sec.getint("max_iters", newton.max_iters),
-        )
-    if parser.has_section("inflow"):
-        sec = parser["inflow"]
-        inflow = InflowConfig()
-        kwargs["inflow"] = InflowConfig(
-            surface=sec.get("surface", inflow.surface),
-            flow_rate=sec.getfloat("flow_rate", inflow.flow_rate),
-            ramp_time=sec.getfloat("ramp_time", inflow.ramp_time),
-            normalize=sec.getboolean("normalize", inflow.normalize),
-            perturbation=sec.getfloat("perturbation", inflow.perturbation),
-            waveform=sec.getwaveform("waveform", inflow.waveform),
-        )
-    outlets = {}
-    initial_pi = {}
-    for name in parser.sections():
-        if name.startswith("outlet."):
-            short = name.split(".", 1)[1]
-            outlets[short] = _outlet_model(parser[name])
-            if parser[name].get("initial_pi") is not None:
-                initial_pi[short] = parser[name].getfloat("initial_pi")
-    kwargs["outlets"] = outlets
-    kwargs["initial_pi"] = initial_pi
-    if parser.has_section("solver"):
-        sec = parser["solver"]
-        solver = base.solver
-        outer = SolverSettings(
-            restart=sec.getint("outer_restart", solver.outer.restart),
-            rtol=sec.getfloat("outer_rtol", solver.outer.rtol),
-            atol=sec.getfloat("outer_atol", solver.outer.atol),
-            max_iters=sec.getint("outer_max_iters", solver.outer.max_iters),
-        )
-        kwargs["solver"] = LinearSolveConfig(
-            outer=outer,
-            nested=_nested_settings(sec, solver.nested),
-            preconditioner=sec.get("preconditioner", solver.preconditioner).strip(),
-        )
-        kwargs["n_ts_0d"] = sec.getint("n_ts_0d", base.n_ts_0d)
-    if parser.has_section("output"):
-        sec = parser["output"]
-        output = base.output
-        kwargs["output"] = OutputConfig(
-            directory=sec.get("directory", output.directory),
-            cadence=sec.getint("cadence", output.cadence),
-        )
-    if parser.has_section("bench"):
-        sec = parser["bench"]
-        bench = base.bench
-        nested = kwargs.get("solver", base.solver).nested
-        cases = []
-        for name in parser.sections():
-            if name.startswith("benchcase."):
-                case_sec = parser[name]
-                pc = case_sec.get("preconditioner", base.solver.preconditioner)
-                cases.append(
-                    BenchCase(
-                        name=name.split(".", 1)[1],
-                        preconditioner=pc.strip(),
-                        nested=_nested_settings(case_sec, nested),
-                    )
-                )
-        kwargs["bench"] = BenchConfig(
-            freeze_step=sec.getint("freeze_step", bench.freeze_step),
-            rtol=sec.getfloat("rtol", bench.rtol),
-            max_iters=sec.getint("max_iters", bench.max_iters),
-            restart=sec.getint("restart", bench.restart),
-            resistances=sec.getfloats("resistances", bench.resistances),
-            cases=tuple(cases),
-        )
-    if parser.has_section("mms"):
-        sec = parser["mms"]
-        mms = base.mms
-        kwargs["mms"] = MMSConfig(
-            mode=sec.get("mode", mms.mode).strip(),
-            solution=sec.get("solution", mms.solution).strip(),
-            final_time=sec.getfloat("final_time", mms.final_time),
-            step_counts=sec.getints("step_counts", mms.step_counts),
-            mesh_sizes=sec.getints("mesh_sizes", mms.mesh_sizes),
-            box_n=sec.getint("box_n", mms.box_n),
-            steady_dt=sec.getfloat("steady_dt", mms.steady_dt),
-            steady_steps=sec.getint("steady_steps", mms.steady_steps),
-        )
-    return SimulationConfig(**kwargs)
+
+def _build(parser) -> SimulationConfig:
+    if parser.defaults():
+        raise ConfigError(f"[{parser.default_section}]: unknown section")
+    sections = parser.sections()
+    base = SimulationConfig(inflow=InflowConfig() if "inflow" in sections else None)
+    values, outlets, initial_pi, cases = {}, {}, {}, []
+    for name in sections:
+        items = parser.items(name)
+        if name == "mesh":  # free-form: a path or a builtin, then builder arguments
+            params = dict(items)
+            values["mesh"] = MeshSource(params.pop("path", None), params.pop("builtin", None), {
+                k: _convert(name, k, v, 0.0 if "." in v or "e" in v.lower() else 0, k)
+                for k, v in params.items()})
+        elif name.startswith("outlet."):
+            label = name.split(".", 1)[1]
+            outlets[label], state = _outlet(name, items)
+            if state is not None:
+                initial_pi[label] = state
+        elif name.startswith("benchcase."):
+            cases.append((name, items))
+        elif name in _KEYS:
+            values.update(_section_values(name, items, _KEYS[name], base))
+        else:
+            raise ConfigError(f"[{name}]: unknown section")
+    config = _replace(base, {**values, "outlets": outlets, "initial_pi": initial_pi})
+    bench_cases = []
+    for name, items in cases:  # from the default preconditioner and the [solver] tolerances
+        case = BenchCase(name.split(".", 1)[1], base.solver.preconditioner, config.solver.nested)
+        bench_cases.append(_replace(case, _section_values(name, items, _CASE_KEYS, case)))
+    return replace(config, bench=replace(config.bench, cases=tuple(bench_cases)))
 
 
 def load_config(path) -> SimulationConfig:
-    """Read a configuration file."""
+    """Read a configuration file; a ``ConfigError`` names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        text = fh.read()
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def with_resistance(config: SimulationConfig, value: float) -> SimulationConfig:

@@ -120,7 +120,7 @@ def _inflow_value_fn(config: SimulationConfig, mesh: Mesh, rng):
     def value(coords, t):
         return flow_rate(t) * base
 
-    return value, flow_rate
+    return value
 
 
 def build_system(config: SimulationConfig, mesh: Mesh, rng=None) -> FlowSystem:
@@ -144,7 +144,7 @@ def build_system(config: SimulationConfig, mesh: Mesh, rng=None) -> FlowSystem:
     )
     velocity_bcs = []
     if config.inflow is not None:
-        value, _ = _inflow_value_fn(config, mesh, rng)
+        value = _inflow_value_fn(config, mesh, rng)
         velocity_bcs.append(DirichletVelocity(config.inflow.surface, value))
     for g in mesh.facet_groups.values():
         if g.tag == "wall" or (g.tag == "inlet" and (config.inflow is None or g.name != config.inflow.surface)):

@@ -30,5 +30,3 @@ TRI3_BARY = np.array(
         [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
     ]
 )
-# Weights sum to 1; multiply by the triangle area.
-TRI3_WEIGHTS = np.full(3, 1.0 / 3.0)

@@ -28,6 +28,9 @@ from .precond import NestedSettings, build_preconditioner
 
 log = logging.getLogger("nbflow.timestep")
 
+# A residual this many times the first one (or tol_abs) aborts the step.
+DIVERGENCE_RATIO = 1.0e4
+
 
 @dataclass(frozen=True)
 class GenAlphaParams:
@@ -120,8 +123,6 @@ class NewtonSettings:
     tol_rel: float = 1.0e-6
     tol_abs: float = 1.0e-6
     max_iters: int = 20
-    divergence_ratio: float = 1.0e4
-    raise_on_failure: bool = False
 
 
 @dataclass(frozen=True)
@@ -250,9 +251,9 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
     """Advance the coupled problem from t to t + dt.
 
     Returns the state at the new time level and a report of the
-    nonlinear iteration.  Raises ``NewtonDivergenceError`` if the
-    residual grows past the divergence guard, and ``RuntimeError`` on
-    non-convergence when the system is configured to abort.
+    nonlinear iteration; a step out of iterations is reported, not
+    raised.  Raises ``NewtonDivergenceError`` if the residual grows past
+    ``DIVERGENCE_RATIO`` times the first one.
     """
     ga = system.genalpha
     newton = system.newton
@@ -276,10 +277,11 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
             r0_norm = rnorm
         if rnorm <= newton.tol_abs or rnorm <= newton.tol_rel * r0_norm:
             converged = True
+            report.assembly_time += _time.perf_counter() - tic
             break
-        if rnorm > newton.divergence_ratio * max(r0_norm, newton.tol_abs):
+        if rnorm > DIVERGENCE_RATIO * max(r0_norm, newton.tol_abs):
             raise NewtonDivergenceError(
-                f"residual {rnorm:.3e} exceeded {newton.divergence_ratio:.1e} "
+                f"residual {rnorm:.3e} exceeded {DIVERGENCE_RATIO:.1e} "
                 f"times the initial residual {r0_norm:.3e} at t = {t:.6g}"
             )
         tangent = system.assembler.tangent(
@@ -320,11 +322,6 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
         p_l, pdot_l = corrector_update(p_l, pdot_l, dp, ga.gamma, dt)
 
     report.converged = converged
-    if not converged and newton.raise_on_failure:
-        raise RuntimeError(
-            f"Newton iteration did not converge within {newton.max_iters} "
-            f"iterations at t = {t:.6g}"
-        )
 
     # The outlet pass of the accepted iterate defines the outlet state at
     # the new time level; a step out of iterations takes one on its last.

@@ -16,13 +16,13 @@ from .meshing import Mesh, MeshError, boundary_faces
 _TET_CELL_TYPE = 10
 
 
-def export_vtk(path, mesh: Mesh, point_data=None, title="nbflow output") -> None:
+def export_vtk(path, mesh: Mesh, point_data=None) -> None:
     """Write mesh and nodal fields as a legacy-VTK unstructured grid."""
     point_data = point_data or {}
     n = mesh.n_nodes
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "nbflow output",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n} double",

@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nbflow
+from nbflow import config as nbconfig
 from nbflow.cli import main as cli_main
 from nbflow.config import (
     ConfigError,
@@ -28,7 +31,8 @@ from nbflow.meshing import MeshError, load_mesh
 from nbflow.structured import box_mesh, tube_mesh
 from nbflow.vtkio import export_vtk, load_vtk_mesh, read_vtk
 
-CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG_DIR = os.path.join(ROOT, "configs")
 
 BASE_CONFIG = """
 [mesh]
@@ -125,6 +129,72 @@ class TestConfig:
             parse_config("[outlet.x]\ntype = resistance\nR = 1\ninitial_pi = 5\n")
         cfg = parse_config("[outlet.x]\ntype = rcr\nRp = 1\nC = 1\nRd = 1\ninitial_pi = 5\n")
         assert cfg.initial_pi == {"x": 5.0}
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[solver]\ntol_ii = 1\n", r"^\[solver\] tol_ii: unknown key", id="key"),
+        pytest.param("[solvers]\ntol_i = 1e-1\n", r"^\[solvers\]: unknown section",
+                     id="section"),
+        pytest.param("[benchcase.a]\ntol_x = 1\n", r"^\[benchcase.a\] tol_x: unknown key",
+                     id="benchcase-key"),
+        pytest.param("[outlet.x]\ntype = rcr\nRp = 1\nC = 1\nRd = 1\nR = 5\n",
+                     r"^\[outlet.x\] R needs type = resistance", id="R-on-rcr"),
+        pytest.param("[outlet.x]\ntype = resistance\nbogus = 1\nR = 5\n",
+                     r"^\[outlet.x\] bogus: unknown key", id="outlet-key"),
+        pytest.param("[outlet.x]\ntype = resistance\n", r"^\[outlet.x\] R: missing",
+                     id="resistance-without-R"),
+        pytest.param("[outlet.x]\ntype = rcr\nRp = 1\nRd = 1\n", r"^\[outlet.x\] C: missing",
+                     id="rcr-without-C"),
+        pytest.param("[outlet.x]\nR = one\n", r"^\[outlet.x\] r: could not convert",
+                     id="outlet-value"),
+        pytest.param("[time]\ndt = abc\n",
+                     r"^\[time\] dt: could not convert string to float: 'abc'", id="float"),
+        pytest.param("[time]\nsteps = 2.5\n", r"^\[time\] steps: invalid literal", id="int"),
+        pytest.param("[inflow]\nnormalize = maybe\n", r"^\[inflow\] normalize: not a boolean",
+                     id="bool"),
+        pytest.param("[inflow]\nwaveform = 0:0 1\n", r"^\[inflow\] waveform: not enough values",
+                     id="waveform"),
+        pytest.param("[mesh]\nn_r = 3x\n", r"^\[mesh\] n_r: invalid literal", id="mesh-value"),
+        pytest.param("[DEFAULT]\ndt = 1\n", r"^\[DEFAULT\]: unknown section", id="default"),
+        pytest.param("dt = 1\n", r"no section headers", id="no-header"),
+        pytest.param("[time]\ndt = 1\ndt = 2\n", r"option 'dt' in section 'time' already exists",
+                     id="duplicate-key"),
+        pytest.param("[time]\n[time]\n", r"section 'time' already exists",
+                     id="duplicate-section"),
+    ])
+    def test_strict_parse_names_section_and_key(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    def test_bench_cases_start_from_solver_tolerances(self):
+        cfg = parse_config("[solver]\npreconditioner = simple\ntol_s = 0.5\n"
+                           "[benchcase.a]\ntol_a = 0.25\n")
+        (case,) = cfg.bench.cases
+        assert case.preconditioner == "scr"  # the default, not the [solver] choice
+        assert case.nested.a_solve.rtol == 0.25 and case.nested.s_solve.rtol == 0.5
+        assert case.nested.inner_rtol == cfg.solver.nested.inner_rtol
+
+    def test_benchmark_inputs_parse(self, tmp_path, monkeypatch):
+        # The benchmark's config texts: a key the parser stops accepting
+        # must fail here, not only as a failed benchmark run.
+        path = os.path.join(ROOT, "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        texts = [Path(CONFIG_DIR, name).read_text() for name in sorted(os.listdir(CONFIG_DIR))]
+        assert len(workloads.WORKLOADS) == 4
+        for cls in workloads.WORKLOADS.values():
+            texts += [cls(seed, tmp_path).config_text for seed in range(10)]
+        for text in texts:
+            parse_config(text)
+
+    def test_readme_documents_every_key(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        keys = {key for table in nbconfig._KEYS.values() for key in table}
+        keys |= {key for _, table in nbconfig._OUTLET_KEYS.values() for key in table}
+        assert sorted(k for k in keys if f"`{k}`" not in readme) == []
+        assert sorted(s for s in nbconfig._KEYS if f"`[{s}]`" not in readme) == []
 
     def test_with_resistance(self):
         cfg = parse_config("[outlet.a]\ntype = resistance\nR = 10\n")
@@ -410,10 +480,17 @@ class TestCli:
         cfg_path.write_text(text)
         assert cli_main(["run", str(cfg_path)]) == 1
 
-    def test_bad_config_exit_code(self, tmp_path):
+    def test_bad_config_exit_code(self, tmp_path, caplog):
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("[fluid]\ndensity = -2\n")
-        assert cli_main(["run", str(cfg_path)]) == 2
+        for text, named in [
+            ("[fluid]\ndensity = -2\n", "density and viscosity must be positive"),
+            ("[solver]\ntol_ii = 1e-1\n", "[solver] tol_ii: unknown key"),
+            ("[time]\ndt = 1\ndt = 2\n", "option 'dt' in section 'time' already exists"),
+        ]:
+            caplog.clear()
+            cfg_path.write_text(text)
+            assert cli_main(["run", str(cfg_path)]) == 2
+            assert f"{cfg_path}: " in caplog.text and named in caplog.text
 
     def test_mesh_info(self, tmp_path, capsys):
         from nbflow.meshing import save_mesh
