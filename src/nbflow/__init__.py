@@ -19,7 +19,6 @@ from .lumped import (
     Resistance,
     rcr_rhs,
     rk4_advance,
-    analytic_pressure,
     resistance_pressure,
     tangent_m,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "Resistance",
     "rcr_rhs",
     "rk4_advance",
-    "analytic_pressure",
     "resistance_pressure",
     "tangent_m",
     "GenAlphaParams",

@@ -374,7 +374,9 @@ class NavierStokesAssembler:
         patterns, and the ILU(0) pattern of F, are the same for every
         state.
         """
-        lam, lamT = TET4_BARY, TET4_BARY.T
+        # Matmuls run faster on contiguous operands than on transposed
+        # views, so lam^T, dN^T and gradv^T are copied once.
+        lam, lamT = TET4_BARY, TET4_BARY.T.copy()
         s = self._volume_state(v, vdot, p, dt, time)
         w, dN, rho, mu = self.w, self.dN, self.rho, self.mu
         tau, rM, gradv = s["tau_m"], s["rM"], s["gradv"]
@@ -386,10 +388,10 @@ class NavierStokesAssembler:
 
         # Quadrature-point factors, (E, q, a) unless noted.
         wq = w[:, None, None]
-        dNt = dN.transpose(0, 2, 1)
+        dNt = dN.transpose(0, 2, 1).copy()
         tdn = s["u"] @ dNt  # u . dN_a
         rdn = rM @ dNt  # rM . dN_a
-        gr = rM @ gradv.transpose(0, 2, 1)  # gradv rM, (E, q, i)
+        gr = rM @ gradv.transpose(0, 2, 1).copy()  # gradv rM, (E, q, i)
         gtdn = dN @ gradv  # gradv^T dN_a, (E, a, j)
         dndn = dN @ dNt  # (E, a, b)
         wt = w[:, None] * tau  # w tau_M, (E, q)

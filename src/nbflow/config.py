@@ -43,6 +43,7 @@ from typing import Optional
 
 from .krylov import SolverSettings
 from .lumped import Resistance, Windkessel
+from .mms import STUDIES
 from .precond import NestedSettings, PRECONDITIONERS
 from .timestep import LinearSolveConfig, NewtonSettings
 
@@ -98,14 +99,21 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class MMSConfig:
-    mode: str = "temporal"  # temporal | spatial
-    solution: str = "shear"
+    mode: str = "temporal"  # a key of mms.STUDIES
+    solution: str = ""  # one of STUDIES[mode]; empty for the mode's first
     final_time: float = 1.0
     step_counts: tuple = (8, 16, 32, 64)
     mesh_sizes: tuple = (2, 4, 8)
     box_n: int = 3
     steady_dt: float = 50.0
     steady_steps: int = 6
+
+    def __post_init__(self):
+        if self.mode not in STUDIES:
+            raise ConfigError(f"unknown study mode {self.mode!r}")
+        if self.solution and self.solution not in STUDIES[self.mode]:
+            raise ConfigError(f"a {self.mode} study runs {' or '.join(STUDIES[self.mode])}, "
+                              f"not {self.solution!r}")
 
 
 @dataclass(frozen=True)
@@ -182,12 +190,14 @@ _KEYS = {
     "mms": _field_keys("mms.", MMSConfig),
 }
 
-# Outlet keys by model type, as fields of the model; ``type`` picks the model.
+# Outlet keys by model type, as fields of the model; ``type`` picks the model,
+# and the given keys replace the fields of that type's valid prototype.
 # ``initial_pi`` fills no field: it is a Windkessel's starting state.
 _DISTAL = {"distal_pressure": "P_d"}
 _OUTLET_KEYS = {
-    "resistance": (Resistance, {"R": "R", **_DISTAL}),
-    "rcr": (Windkessel, {"Rp": "R_p", "C": "C", "Rd": "R_d", **_DISTAL, "initial_pi": "state"}),
+    "resistance": (Resistance(R=0.0), {"R": "R", **_DISTAL}),
+    "rcr": (Windkessel(R_p=0.0, C=1.0, R_d=0.0),
+            {"Rp": "R_p", "C": "C", "Rd": "R_d", **_DISTAL, "initial_pi": "state"}),
 }
 # configparser lower-cases keys: lower-case key -> key as written above.
 _OUTLET_NAMES = {k.lower(): k for _, keys in _OUTLET_KEYS.values() for k in keys}
@@ -205,8 +215,11 @@ def _convert(section, key, text, default, name):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-def _section_values(section, items, keys, base) -> dict:
-    """Dotted field -> value for a section's ``(key, text)`` items, typed by ``base``."""
+def _section_values(section, items, keys, base, where) -> dict:
+    """Dotted field -> value for a section's ``(key, text)`` items, typed by ``base``.
+
+    ``where`` receives the ``(section, key)`` of each field.
+    """
     values = {}
     for key, text in items:
         if key not in keys:
@@ -214,6 +227,7 @@ def _section_values(section, items, keys, base) -> dict:
         path = keys[key]
         default = attrgetter(path)(base)
         values[path] = _convert(section, key, text, default, path.rpartition(".")[2])
+        where[path] = (section, key)
     return values
 
 
@@ -231,18 +245,40 @@ def _replace(obj, values: dict):
     return replace(obj, **changes)
 
 
+def _checked(obj, values: dict, where: dict):
+    """``_replace(obj, values)``; a settings check that rejects a value is a
+    ``ConfigError`` naming that value's section and key from ``where``.
+
+    On failure the values are applied again one more at a time, in the
+    order written, so the first value that fails on ``obj`` is named.
+    """
+    try:
+        return _replace(obj, values)
+    except ValueError as exc:
+        applied = {}
+        for path, value in values.items():
+            applied[path] = value
+            try:
+                _replace(obj, applied)
+            except ValueError as first:
+                section, key = where[path]
+                raise ConfigError(f"[{section}] {key}: {first}") from exc
+        raise
+
+
 def _outlet(section, items):
     """The model of an ``[outlet.<group>]`` section and its starting state (or None)."""
     given = dict(items)
     kind = given.pop("type", "resistance").strip().lower()
     if kind not in _OUTLET_KEYS:
         raise ConfigError(f"[{section}] type: unknown outlet model type {kind!r}")
-    model, keys = _OUTLET_KEYS[kind]
-    values = {}
+    prototype, keys = _OUTLET_KEYS[kind]
+    values, where = {}, {}
     for key, text in given.items():
         name = _OUTLET_NAMES.get(key)
         if name in keys:
-            values[keys[name]] = _convert(section, key, text, 0.0, name)
+            values[keys[name]] = _convert(section, name, text, 0.0, name)
+            where[keys[name]] = (section, name)
         elif name is not None:
             owner, target = next((t, k[name]) for t, (_, k) in _OUTLET_KEYS.items() if name in k)
             raise ConfigError(f"[{section}] {name} needs type = {owner}; "
@@ -250,11 +286,11 @@ def _outlet(section, items):
         else:
             raise ConfigError(f"[{section}] {key}: unknown key")
     state = values.pop("state", None)
-    required = {f.name for f in fields(model) if f.default is MISSING}
+    required = {f.name for f in fields(prototype) if f.default is MISSING}
     missing = [k for k, f in keys.items() if f in required and f not in values]
     if missing:
         raise ConfigError(f"[{section}] {missing[0]}: missing; type = {kind} needs it")
-    return model(**values), state
+    return _checked(prototype, values, where), state
 
 
 def parse_config(text: str) -> SimulationConfig:
@@ -262,8 +298,8 @@ def parse_config(text: str) -> SimulationConfig:
 
     A key that is absent takes the default of the dataclass field it fills.
     An unknown section or key, a key of the other outlet type, a missing
-    outlet key or a malformed value is a ``ConfigError`` naming the section
-    and the key.
+    outlet key, a malformed value or a value that a settings check rejects
+    is a ``ConfigError`` naming the section and the key.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -278,7 +314,7 @@ def _build(parser) -> SimulationConfig:
         raise ConfigError(f"[{parser.default_section}]: unknown section")
     sections = parser.sections()
     base = SimulationConfig(inflow=InflowConfig() if "inflow" in sections else None)
-    values, outlets, initial_pi, cases = {}, {}, {}, []
+    values, where, outlets, initial_pi, cases = {}, {}, {}, {}, []
     for name in sections:
         items = parser.items(name)
         if name == "mesh":  # free-form: a path or a builtin, then builder arguments
@@ -294,14 +330,15 @@ def _build(parser) -> SimulationConfig:
         elif name.startswith("benchcase."):
             cases.append((name, items))
         elif name in _KEYS:
-            values.update(_section_values(name, items, _KEYS[name], base))
+            values.update(_section_values(name, items, _KEYS[name], base, where))
         else:
             raise ConfigError(f"[{name}]: unknown section")
-    config = _replace(base, {**values, "outlets": outlets, "initial_pi": initial_pi})
+    config = _checked(base, {**values, "outlets": outlets, "initial_pi": initial_pi}, where)
     bench_cases = []
     for name, items in cases:  # from the default preconditioner and the [solver] tolerances
         case = BenchCase(name.split(".", 1)[1], base.solver.preconditioner, config.solver.nested)
-        bench_cases.append(_replace(case, _section_values(name, items, _CASE_KEYS, case)))
+        case_values = _section_values(name, items, _CASE_KEYS, case, where)
+        bench_cases.append(_checked(case, case_values, where))
     return replace(config, bench=replace(config.bench, cases=tuple(bench_cases)))
 
 

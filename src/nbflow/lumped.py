@@ -13,7 +13,6 @@ compliance in cm^4 s^2 / g, pressures in dyn/cm^2, flows in cm^3/s.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -44,10 +43,6 @@ class Windkessel:
 
     def distal_pressure(self, t: float) -> float:
         return _as_pressure_fn(self.P_d)(t)
-
-    @property
-    def time_constant(self) -> float:
-        return self.R_d * self.C
 
 
 @dataclass(frozen=True)
@@ -99,63 +94,6 @@ def rk4_advance(model: Windkessel, pi_n, q_n, q_np1, dt, n_ts, t_n=0.0):
         pi = pi + h * (k1 + 3.0 * k2 + 3.0 * k3 + k4) / 8.0
     p = model.R_p * q_np1 + pi + model.distal_pressure(t_n + dt)
     return p, pi
-
-
-def analytic_pressure(model: Windkessel, q_times, q_values, t, pi0=0.0):
-    """Exact Windkessel outlet pressure for a piecewise-linear flow history.
-
-    Evaluates
-
-        P(t) = int_0^t exp(-(t-s)/tau) Q(s)/C ds + R_p Q(t) + P_d(t)
-               + exp(-t/tau) pi0,
-
-    with tau = R_d C, integrating the convolution by adaptive
-    Gauss-Kronrod quadrature segment by segment so the result can serve
-    as an oracle for the time-stepped solution.
-    """
-    from scipy.integrate import quad  # the oracle's only use; slow to import
-
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    times = [float(v) for v in q_times]
-    values = [float(v) for v in q_values]
-    if len(times) != len(values) or len(times) < 1:
-        raise ValueError("flow history must pair times with values")
-    tau = model.time_constant
-
-    def q_of(s):
-        if len(times) == 1:
-            return values[0]
-        lo, hi = times[0], times[-1]
-        if s <= lo:
-            return values[0]
-        if s >= hi:
-            return values[-1]
-        import bisect
-
-        i = bisect.bisect_right(times, s) - 1
-        w = (s - times[i]) / (times[i + 1] - times[i])
-        return values[i] + w * (values[i + 1] - values[i])
-
-    # Integrate each linear segment of Q separately so the integrand is
-    # smooth on every quadrature interval.
-    breaks = sorted({0.0, t} | {s for s in times if 0.0 < s < t})
-    conv = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        part, _ = quad(
-            lambda s: math.exp(-(t - s) / tau) * q_of(s) / model.C,
-            a,
-            b,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )
-        conv += part
-    return (
-        conv
-        + model.R_p * q_of(t)
-        + model.distal_pressure(t)
-        + math.exp(-t / tau) * pi0
-    )
 
 
 def resistance_pressure(q: float, t: float, model: Resistance) -> float:

@@ -84,7 +84,7 @@ class Mesh:
     metric : (M, 3, 3) node-ordering-invariant element metric tensors.
     """
 
-    def __init__(self, nodes, tets, facet_groups):
+    def __init__(self, nodes, tets, facet_groups, boundary=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.tets = np.ascontiguousarray(tets, dtype=np.int64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
@@ -98,14 +98,16 @@ class Mesh:
                 f"{self.tets[bad[0]].tolist()}"
             )
         self.facet_groups: dict[str, FacetGroup] = facet_groups
-        self._build_geometry()
-        self._validate_facets()
+        self.volumes, self.jinv, self.grads, self.metric = tet_geometry(self.nodes[self.tets])
+        self._validate_facets(boundary_faces(self.tets) if boundary is None else boundary)
 
     @classmethod
-    def from_arrays(cls, nodes, tets, groups) -> "Mesh":
+    def from_arrays(cls, nodes, tets, groups, boundary=None) -> "Mesh":
         """Build a mesh from raw arrays.
 
-        ``groups`` is an iterable of ``(name, tag, tris)`` triples.
+        ``groups`` is an iterable of ``(name, tag, tris)`` triples.  A
+        builder that has already computed ``boundary_faces(tets)`` hands
+        it in as ``boundary``, so that it is not computed again.
         """
         facet_groups = {}
         for name, tag, tris in groups:
@@ -115,33 +117,11 @@ class Mesh:
                 raise MeshError(f"duplicate facet group name {name!r}")
             tris = np.ascontiguousarray(tris, dtype=np.int64).reshape(-1, 3)
             facet_groups[name] = FacetGroup(name=name, tag=tag, tris=tris)
-        return cls(nodes, tets, facet_groups)
+        return cls(nodes, tets, facet_groups, boundary)
 
-    # -- geometry -----------------------------------------------------
-
-    def _build_geometry(self):
-        x = self.nodes[self.tets]  # (M, 4, 3)
-        edges = x[:, 1:, :] - x[:, :1, :]  # (M, 3, 3), rows are edge vectors
-        det = np.linalg.det(edges)
-        self.volumes = det / 6.0
-        bad = np.flatnonzero(self.volumes <= 0.0)
-        if bad.size:
-            raise MeshError(
-                f"element {bad[0]} has non-positive volume {self.volumes[bad[0]]:.3e}"
-            )
-        # edges[e, k, :] = d x / d xi_k, so jinv = edges^{-T} gives
-        # jinv[e, k, i] = d xi_k / d x_i.
-        self.jinv = np.linalg.inv(edges).transpose(0, 2, 1)
-        # Basis gradients: N_0 = 1 - xi_1 - xi_2 - xi_3, N_k = xi_k.
-        g = np.empty((len(self.tets), 4, 3))
-        g[:, 1:, :] = self.jinv
-        g[:, 0, :] = -self.jinv.sum(axis=1)
-        self.grads = g
-        self.metric = np.einsum(
-            "eki,kl,elj->eij", self.jinv, SIMPLEX_SCALING, self.jinv
-        )
-
-    def _validate_facets(self):
+    def _validate_facets(self, boundary_triple):
+        """Check the facet groups against ``boundary_faces(tets)`` and wind
+        every facet outward."""
         groups = list(self.facet_groups.values())
         sizes = [len(g.tris) for g in groups]
         tris = np.concatenate([g.tris for g in groups] + [np.empty((0, 3), np.int64)])
@@ -154,7 +134,7 @@ class Mesh:
                                 f"{int(group.tris.max())}")
             raise MeshError(f"facet group {group.name!r} has negative node index")
         keys = np.sort(tris, axis=1)
-        boundary, _, opposite = boundary_faces(self.tets)
+        boundary, _, opposite = boundary_triple
         # Boundary rows go first, so a facet's first equal row is its face.
         first = _first_equal_row(np.concatenate([boundary, keys]))
         face = first[len(boundary):]
@@ -227,24 +207,46 @@ class Mesh:
         return 2.0 * radii
 
 
+def tet_geometry(x, oriented=True):
+    """Geometry of the tets with vertex coordinates ``x``, (M, 4, 3).
+
+    Returns ``(volumes, jinv, grads, metric)``: the (M,) signed volumes,
+    the (M, 3, 3) inverse Jacobians ``jinv[e, k, i] = d xi_k / d x_i``,
+    the (M, 4, 3) basis-function gradients and the (M, 3, 3)
+    node-ordering-invariant metric tensors ``jinv^T S jinv``.  Raises
+    ``MeshError`` before inverting: for an element of non-positive
+    volume, or with ``oriented=False`` only for a singular one.
+    """
+    edges = x[:, 1:, :] - x[:, :1, :]  # (M, 3, 3), rows are edge vectors
+    det = np.linalg.det(edges)
+    volumes = det / 6.0
+    bad = np.flatnonzero(volumes <= 0.0 if oriented else np.abs(det) < 1e-300)
+    if bad.size:
+        if not oriented:
+            raise MeshError("degenerate element: singular Jacobian")
+        raise MeshError(f"element {bad[0]} has non-positive volume {volumes[bad[0]]:.3e}")
+    # edges[e, k, :] = d x / d xi_k, so jinv = edges^{-T}.
+    jinv = np.linalg.inv(edges).transpose(0, 2, 1)
+    # Basis gradients: N_0 = 1 - xi_1 - xi_2 - xi_3, N_k = xi_k.
+    grads = np.empty((len(x), 4, 3))
+    grads[:, 1:, :] = jinv
+    grads[:, 0, :] = -jinv.sum(axis=1)
+    metric = np.einsum("eki,kl,elj->eij", jinv, SIMPLEX_SCALING, jinv)
+    return volumes, jinv, grads, metric
+
+
 def metric_tensor(nodes) -> np.ndarray:
-    """Node-ordering-invariant metric tensor of a single tetrahedron.
+    """Metric tensor of a single tetrahedron: ``tet_geometry`` on one tet.
 
     Parameters
     ----------
-    nodes : (4, 3) array of vertex coordinates.
+    nodes : (4, 3) array of vertex coordinates, in either orientation.
 
     Returns
     -------
     (3, 3) symmetric positive definite array, units cm^-2.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    edges = nodes[1:] - nodes[0]
-    det = np.linalg.det(edges)
-    if abs(det) < 1e-300:
-        raise MeshError("degenerate element: singular Jacobian")
-    jinv = np.linalg.inv(edges).T
-    return jinv.T @ SIMPLEX_SCALING @ jinv
+    return tet_geometry(np.asarray(nodes, dtype=float)[None], oriented=False)[3][0]
 
 
 def fit_plane(points):

@@ -133,6 +133,8 @@ class TaylorGreenSolution:
 
 
 SOLUTIONS = {"shear": ShearFlowSolution, "taylor_green": TaylorGreenSolution}
+# The solutions each study mode runs, its default first.
+STUDIES = {"temporal": ("shear", "taylor_green"), "spatial": ("taylor_green",)}
 
 
 def l2_error(mesh, nodal, exact_fn, t) -> float:

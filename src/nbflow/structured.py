@@ -54,21 +54,25 @@ def _fix_orientation(nodes, tets):
     return tets
 
 
-def _plane_groups(nodes, tets, planes, choices, eps):
-    """Boundary facet groups ``(name, tag, tris)`` in order of first appearance.
+def _plane_mesh(nodes, tets, planes, choices, eps):
+    """The mesh whose boundary facet groups ``(name, tag, tris)`` follow planes,
+    in order of first appearance.
 
     A face whose nodes all lie within ``eps`` of the first matching plane
     ``(axis, value)`` takes that plane's entry of ``choices``, any other
     face the last entry; a name with several tags takes its last face's.
+    The boundary is computed once and handed to the mesh.
     """
-    tris = boundary_faces(tets)[0]
+    boundary = boundary_faces(tets)
+    tris = boundary[0]
     pts = nodes[tris]
     on_plane = [np.all(np.abs(pts[:, :, axis] - value) < eps, axis=1) for axis, value in planes]
     labels = np.select(on_plane, range(len(planes)), default=len(planes))
     names = [name for name, _ in choices]
     name_ids = np.array([names.index(name) for name in names])[labels]
     members = {k: np.flatnonzero(name_ids == k) for k in dict.fromkeys(name_ids.tolist())}
-    return [(names[k], choices[labels[m[-1]]][1], tris[m]) for k, m in members.items()]
+    groups = [(names[k], choices[labels[m[-1]]][1], tris[m]) for k, m in members.items()]
+    return Mesh.from_arrays(nodes, tets, groups, boundary)
 
 
 def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_tags=None):
@@ -102,8 +106,7 @@ def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_t
     }
     face_tags = face_tags or {}
     choices = [face_tags.get(face, (face, "wall")) for face in planes] + [("wall", "wall")]
-    groups = _plane_groups(nodes, tets, list(planes.values()), choices, 1e-9 * max(lx, ly, lz))
-    return Mesh.from_arrays(nodes, tets, groups)
+    return _plane_mesh(nodes, tets, list(planes.values()), choices, 1e-9 * max(lx, ly, lz))
 
 
 def _unit_disk(n_r, n_theta):
@@ -138,9 +141,8 @@ def tube_mesh(radius, length, n_r=2, n_theta=8, n_z=4, radius_profile=None,
     tets = _fix_orientation(nodes, _split_prisms(prisms))
 
     choices = [(inlet, "inlet"), (outlet, "outlet"), (wall, "wall")]
-    groups = _plane_groups(nodes, tets, [(2, 0.0), (2, length)], choices,
-                           1e-9 * max(length, radius))
-    return Mesh.from_arrays(nodes, tets, groups)
+    return _plane_mesh(nodes, tets, [(2, 0.0), (2, length)], choices,
+                       1e-9 * max(length, radius))
 
 
 def cylinder_fixture(n_r=3, n_theta=12, n_z=10):

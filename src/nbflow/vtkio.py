@@ -58,12 +58,6 @@ def read_vtk(path):
         tokens = fh.read().split()
     pos = 0
 
-    def expect(word):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos].upper() != word:
-            raise MeshError(f"{path}: expected {word!r} near token {pos}")
-        pos += 1
-
     def seek(word):
         nonlocal pos
         while pos < len(tokens) and tokens[pos].upper() != word:
@@ -124,6 +118,7 @@ def load_vtk_mesh(path) -> Mesh:
     """
     points, tets, _ = read_vtk(path)
     try:
-        return Mesh.from_arrays(points, tets, [("boundary", "wall", boundary_faces(tets)[0])])
+        boundary = boundary_faces(tets)
+        return Mesh.from_arrays(points, tets, [("boundary", "wall", boundary[0])], boundary)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from None

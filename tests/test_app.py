@@ -144,8 +144,30 @@ class TestConfig:
                      id="resistance-without-R"),
         pytest.param("[outlet.x]\ntype = rcr\nRp = 1\nRd = 1\n", r"^\[outlet.x\] C: missing",
                      id="rcr-without-C"),
-        pytest.param("[outlet.x]\nR = one\n", r"^\[outlet.x\] r: could not convert",
+        pytest.param("[outlet.x]\nR = one\n", r"^\[outlet.x\] R: could not convert",
                      id="outlet-value"),
+        pytest.param("[outlet.x]\nR = -1\n", r"^\[outlet.x\] R: resistance must be non-neg",
+                     id="outlet-range"),
+        pytest.param("[outlet.x]\ntype = rcr\nRp = 1\nC = 0\nRd = 1\n",
+                     r"^\[outlet.x\] C: compliance must be positive", id="rcr-range"),
+        pytest.param("[solver]\ntol_a = -1\n", r"^\[solver\] tol_a: tolerances must be positive",
+                     id="tol-range"),
+        pytest.param("[solver]\nouter_rtol = 0\n",
+                     r"^\[solver\] outer_rtol: tolerances must be positive", id="outer-range"),
+        pytest.param("[solver]\npc_a = foo\n", r"^\[solver\] pc_a: pc_a must be one of",
+                     id="pc-choice"),
+        pytest.param("[time]\ndt = 0\n", r"^\[time\] dt: dt must be positive", id="dt-range"),
+        pytest.param("[benchcase.a]\ntol_i = 0\n",
+                     r"^\[benchcase.a\] tol_i: inner tolerance must be positive",
+                     id="benchcase-range"),
+        pytest.param("[mms]\nmode = nope\n", r"^\[mms\] mode: unknown study mode 'nope'",
+                     id="mms-mode"),
+        pytest.param("[mms]\nsolution = vortex\n",
+                     r"^\[mms\] solution: a temporal study runs shear or taylor_green",
+                     id="mms-solution"),
+        pytest.param("[mms]\nmode = spatial\nsolution = shear\n",
+                     r"^\[mms\] solution: a spatial study runs taylor_green, not 'shear'",
+                     id="mms-spatial-shear"),
         pytest.param("[time]\ndt = abc\n",
                      r"^\[time\] dt: could not convert string to float: 'abc'", id="float"),
         pytest.param("[time]\nsteps = 2.5\n", r"^\[time\] steps: invalid literal", id="int"),
@@ -393,6 +415,12 @@ class TestMMS:
         # Linear elements: the finest pair approaches second order.
         assert 1.7 <= result["orders_v"][-1] <= 2.3
 
+    def test_solution_defaults_to_the_mode_first(self):
+        assert parse_config("[mms]\n").mms.solution == ""  # shear
+        assert parse_config("[mms]\nmode = spatial\n").mms.solution == ""  # taylor_green
+        cfg = parse_config("[mms]\nmode = spatial\nsolution = taylor_green\n")
+        assert cfg.mms.solution == "taylor_green"
+
     def test_temporal_csv_written(self, tmp_path):
         cfg = parse_config(
             "[mms]\nmode = temporal\nsolution = shear\nstep_counts = 4 8\n"
@@ -525,11 +553,24 @@ class TestCli:
         assert cli_main(["mms", str(cfg_path)]) == 0
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
-    heavy = ("scipy.sparse.linalg", "scipy.integrate", "scipy.io")
-    code = f"import sys, nbflow; print([m for m in {heavy!r} if m in sys.modules])"
+def _loaded_after(statement, modules):
+    """The ``modules`` that a fresh interpreter holds after running ``statement``."""
+    code = f"import sys\n{statement}\nprint([m for m in {modules!r} if m in sys.modules])"
     src = os.path.dirname(os.path.dirname(nbflow.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    assert _loaded_after("import nbflow",
+                         ("scipy.sparse.linalg", "scipy.integrate", "scipy.io")) == "[]"
+
+
+def test_package_imports_no_test_only_dependency():
+    # The quadrature oracle and the symbolic checks live in tests/.
+    statement = ("import importlib, pkgutil, nbflow\n"
+                 "for m in pkgutil.iter_modules(nbflow.__path__):\n"
+                 "    importlib.import_module('nbflow.' + m.name)")
+    assert _loaded_after(statement, ("scipy.integrate", "sympy")) == "[]"

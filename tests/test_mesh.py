@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nbflow import meshing, structured
+from nbflow import meshing, structured, vtkio
 from nbflow.driver import BUILTIN_MESHES
 from nbflow.meshing import (
     Mesh,
@@ -19,9 +19,10 @@ from nbflow.meshing import (
     save_mesh,
     surface_flow_rate,
     surface_normal_weights,
+    tet_geometry,
 )
 from nbflow.structured import box_mesh, tube_mesh
-from nbflow.vtkio import load_vtk_mesh
+from nbflow.vtkio import export_vtk, load_vtk_mesh
 
 from conftest import reference_tet_mesh
 
@@ -269,6 +270,23 @@ def test_metric_degenerate_rejected():
     flat = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
     with pytest.raises(MeshError, match="degenerate"):
         metric_tensor(flat)
+
+
+@pytest.mark.parametrize("make", [
+    structured.cylinder_fixture,
+    structured.nozzle_fixture,
+    lambda: box_mesh(5, 3, 7),
+])
+def test_mesh_geometry_is_the_single_tet_kernel(make):
+    # The VMS taus read Mesh.metric, so it must be the formula that
+    # metric_tensor (criterion 8) checks, to the last bit.
+    mesh = make()
+    single = [tet_geometry(x[None]) for x in mesh.nodes[mesh.tets]]
+    for i, name in enumerate(("volumes", "jinv", "grads", "metric")):
+        rows = np.concatenate([geometry[i] for geometry in single])
+        assert rows.tobytes() == np.ascontiguousarray(getattr(mesh, name)).tobytes(), name
+    metrics = np.array([metric_tensor(x) for x in mesh.nodes[mesh.tets]])
+    assert metrics.tobytes() == mesh.metric.tobytes()
 
 
 def test_parabolic_inflow_zero_flow():
@@ -531,3 +549,50 @@ def test_fit_plane_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32e6  # the full pairwise difference array alone is 96 MB
+
+
+def _vtk_file(tmp_path):
+    path = tmp_path / "box.vtk"
+    export_vtk(path, box_mesh(2, 3, 2))
+    return path
+
+
+# Each builder takes the path of a VTK file that only ``load_vtk_mesh`` reads.
+MESH_BUILDERS = [
+    pytest.param(lambda path: box_mesh(5, 3, 7, face_tags={"zmin": ("in", "inlet"),
+                                                           "zmax": ("out", "outlet")}),
+                 id="box"),
+    pytest.param(lambda path: structured.cylinder_fixture(), id="cylinder"),
+    pytest.param(lambda path: structured.nozzle_fixture(), id="nozzle"),
+    pytest.param(load_vtk_mesh, id="vtk"),
+]
+
+
+@pytest.mark.parametrize("build", MESH_BUILDERS)
+def test_boundary_faces_runs_once_per_mesh(monkeypatch, tmp_path, build):
+    path = _vtk_file(tmp_path)
+    calls = []
+
+    def counted(tets):
+        calls.append(len(tets))
+        return boundary_faces(tets)
+
+    for module in (meshing, structured, vtkio):
+        monkeypatch.setattr(module, "boundary_faces", counted)
+    mesh = build(path)
+    assert calls == [mesh.n_tets]
+
+
+@pytest.mark.parametrize("build", MESH_BUILDERS)
+def test_handed_in_boundary_gives_identical_groups(monkeypatch, tmp_path, build):
+    path = _vtk_file(tmp_path)
+    handed_in = build(path)
+    from_arrays = Mesh.from_arrays.__func__
+    monkeypatch.setattr(Mesh, "from_arrays", classmethod(
+        lambda cls, nodes, tets, groups, boundary=None: from_arrays(cls, nodes, tets, groups)))
+    recomputed = build(path)
+    assert list(handed_in.facet_groups) == list(recomputed.facet_groups)
+    for a, b in zip(handed_in.facet_groups.values(), recomputed.facet_groups.values()):
+        assert a.tag == b.tag
+        for name in ("tris", "normals", "areas"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.name, name)
