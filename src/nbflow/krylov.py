@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -243,31 +243,207 @@ class JacobiPreconditioner:
     __call__ = apply
 
 
+# Symbolic ILU(0) plans, cached per process and keyed by the exact pattern:
+# a plan is a function of the pattern alone, so a hit never changes a factor.
+_PLAN_CACHE_SIZE = 8
+# Candidate (l, u) pairs examined per batch of pivots while a plan is built,
+# so that the batch temporaries have a fixed size whatever the pattern.
+_PLAN_BATCH = 1 << 12
+
+
+@dataclass(frozen=True, eq=False)
+class _ILU0Plan:
+    """Symbolic ILU(0) of one canonical CSR pattern.
+
+    Every array is int32 and read-only, because every factorization of the
+    pattern shares it.  ``stages[s]`` is ``(pivots, lower, n_lower,
+    target, l, u)``, positions into the matrix's ``data``: the pivots of
+    level ``s``, the strictly lower entries of their columns (``n_lower``
+    per pivot), and the updates ``data[target] -= data[l] * data[u]`` of
+    stage ``s`` in pivot order.  ``l_map`` and ``u_map`` gather ``data``
+    into the CSC unit lower factor, whose diagonal starts each column, and
+    the CSC strictly upper factor; ``l_rows``, ``l_indptr``, ``u_rows``
+    and ``u_indptr`` are their row indices and column pointers.
+    """
+
+    diag: np.ndarray
+    stages: tuple
+    l_map: np.ndarray
+    l_rows: np.ndarray
+    l_indptr: np.ndarray
+    u_map: np.ndarray
+    u_rows: np.ndarray
+    u_indptr: np.ndarray
+
+
+def _frozen(a):
+    """``a`` as a read-only int32 array."""
+    a = np.asarray(a, dtype=np.int32)
+    a.flags.writeable = False
+    return a
+
+
+def _by_group(values, counts):
+    """Read-only views of ``values``, ordered by group, ``counts`` per group."""
+    values = _frozen(values)
+    ends = np.cumsum(counts).tolist()
+    return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _csc_part(by_col, col_rows, col_of, mask, n):
+    """Positions into ``data``, row indices and column pointers of one CSC part."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col_of[mask], minlength=n), out=indptr[1:])
+    return _frozen(by_col[mask]), _frozen(col_rows[mask]), _frozen(indptr)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _ilu0_plan(n, indptr, indices):
+    """The :class:`_ILU0Plan` of the canonical pattern given as int32 bytes."""
+    indptr = np.frombuffer(indptr, dtype=np.int32)
+    cols = np.frombuffer(indices, dtype=np.int32)
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    diag = np.flatnonzero(rows == cols).astype(np.int32)
+    if len(diag) != n:
+        raise ValueError("ILU(0) requires an explicit diagonal in the pattern")
+    # Column-major view: positions into data, column by column, rows ascending.
+    by_col = np.argsort(cols, kind="stable").astype(np.int32)
+    col_rows = rows[by_col]
+    col_count = np.bincount(cols, minlength=n)
+    col_of = np.repeat(np.arange(n, dtype=np.int32), col_count)
+    col_start = np.cumsum(col_count) - col_count
+    col_diag = (col_start + np.bincount(cols[rows < cols], minlength=n)).astype(np.int32)
+    n_lower = col_start + col_count - col_diag - 1
+    n_upper = indptr[1:] - diag - 1
+
+    # Pivot k waits for every earlier pivot it shares an entry with.
+    level = np.zeros(n, dtype=np.int32)
+    for k in range(n):
+        left = level[cols[indptr[k]:diag[k]]]
+        above = level[col_rows[col_start[k]:col_diag[k]]]
+        if len(left) or len(above):
+            level[k] = max(left.max(initial=-1), above.max(initial=-1)) + 1
+    n_levels = int(level.max(initial=-1)) + 1
+
+    keys = np.append(rows.astype(np.int64) * n + cols, np.int64(n) * n)
+    first_pair = np.zeros(n + 1, dtype=np.int64)  # first candidate (l, u) pair of each pivot
+    np.cumsum(n_lower * n_upper, out=first_pair[1:])
+
+    def batches():
+        """Every update ``(stage, target, l, u)`` in pivot order, a batch of
+        pivots at a time.
+
+        Each candidate (row of l, column of u) is looked up in the
+        row-major keys of the pattern.  The stage of an update is the
+        running maximum, in pivot order, of the levels of the pivots that
+        update the same target.
+        """
+        latest = np.zeros(len(cols), dtype=np.int32)  # stage of each target's last update
+        k0 = 0
+        while k0 < n:
+            k1 = int(np.searchsorted(first_pair, first_pair[k0] + _PLAN_BATCH, "right")) - 1
+            k1 = min(n, max(k1, k0 + 1))
+            count = n_lower[k0:k1] * n_upper[k0:k1]
+            rank = np.arange(first_pair[k1] - first_pair[k0], dtype=np.int32)
+            rank -= np.repeat((first_pair[k0:k1] - first_pair[k0]).astype(np.int32), count)
+            a, b = np.divmod(rank, np.repeat(n_upper[k0:k1], count))
+            l = np.repeat(col_diag[k0:k1] + 1, count) + a
+            u = np.repeat(diag[k0:k1] + 1, count) + b
+            key = col_rows[l].astype(np.int64) * n + cols[u]
+            target = np.searchsorted(keys, key)
+            hit = keys[target] == key
+            pivot_level = np.repeat(level[k0:k1], count)[hit]
+            k0 = k1
+            if not len(pivot_level):
+                continue
+            target, l, u = target[hit], by_col[l[hit]], u[hit]
+            order = np.argsort(target, kind="stable")
+            grouped = target[order]
+            first = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+            offset = np.cumsum(first) * n_levels  # restarts the running maximum per target
+            stage = np.maximum(pivot_level[order], latest[grouped]) + offset
+            np.maximum.accumulate(stage, out=stage)
+            stage -= offset
+            last = np.append(first[1:], True)
+            latest[grouped[last]] = stage[last]
+            in_order = np.empty(len(stage), dtype=np.int32)
+            in_order[order] = stage
+            yield in_order, target, l, u
+
+    # Two passes over the updates: the first counts them per stage, the
+    # second places them, so no list of them is ever held twice.
+    per_stage = np.zeros(n_levels, dtype=np.int64)
+    for stage, *_ in batches():
+        per_stage += np.bincount(stage, minlength=n_levels)
+    free = np.cumsum(per_stage) - per_stage  # next free slot of each stage
+    updates = [np.empty(int(per_stage.sum()), dtype=np.int32) for _ in range(3)]
+    for stage, *batch in batches():
+        order = np.argsort(stage, kind="stable")
+        stage = stage[order]
+        count = np.bincount(stage, minlength=n_levels)
+        dest = free[stage] + np.arange(len(stage)) - (np.cumsum(count) - count)[stage]
+        free += count
+        for out, values in zip(updates, batch):
+            out[dest] = values[order]
+    updates = [_by_group(values, per_stage) for values in updates]
+
+    # Each level divides the strictly lower entries of its pivots' columns.
+    pivots = np.argsort(level, kind="stable")
+    below = col_rows > col_of
+    lower_level = level[col_of[below]]
+    lower = by_col[below][np.argsort(lower_level, kind="stable")]
+    per_level = np.bincount(level, minlength=n_levels)
+    stages = tuple(zip(_by_group(diag[pivots], per_level),
+                       _by_group(lower, np.bincount(lower_level, minlength=n_levels)),
+                       _by_group(n_lower[pivots], per_level), *updates))
+
+    l_map, l_rows, l_indptr = _csc_part(by_col, col_rows, col_of, col_rows >= col_of, n)
+    u_map, u_rows, u_indptr = _csc_part(by_col, col_rows, col_of, col_rows < col_of, n)
+    return _ILU0Plan(diag=_frozen(diag), stages=stages, l_map=l_map, l_rows=l_rows,
+                     l_indptr=l_indptr, u_map=u_map, u_rows=u_rows, u_indptr=u_indptr)
+
+
 class ILU0Preconditioner:
     """Zero-fill incomplete LU factorization on the matrix sparsity pattern.
 
-    The elimination runs right-looking (KIJ order, Saad, *Iterative
-    Methods for Sparse Linear Systems*, 2nd ed., section 10.3): for each
-    pivot ``k`` the strictly lower entries of column ``k`` are divided by
-    the pivot and every pattern entry ``(i, j)`` with ``i, j > k`` loses
-    ``l_ik * u_kj``.  Each entry receives the same products in the same
-    order of ``k`` as the row-by-row (IKJ) loop, so ``lower`` and
-    ``upper`` are bitwise equal to its factors.  A zero pivot is replaced
-    by ``1e-12 * max|a|``, sets ``shifted`` and is logged as a warning.
+    Setup has a symbolic and a numeric phase.  The symbolic phase, a
+    :class:`_ILU0Plan`, depends on the pattern alone.  It groups the
+    pivots into dependency levels: pivot ``k`` waits for each earlier pivot
+    ``k'`` with ``(k, k')`` or ``(k', k)`` in the pattern, because the
+    elimination of ``k'`` changes row or column ``k`` (level scheduling,
+    Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., ch. 11;
+    Anderson & Saad 1989).  It lists every update ``a_ij -= l_ik * u_kj``
+    that stays inside the pattern, and gives each a stage: the running
+    maximum, in ``k`` order, of the levels of the pivots updating the same
+    entry.  The numeric phase then runs one pass per stage ``s``: the
+    zero-pivot check of level ``s``, the division of its pivots' columns
+    by their pivots, and one ``np.subtract.at`` over the stage's updates in
+    ``k`` order.  Every input of a stage is final by then, and
+    ``ufunc.at`` applies repeated targets in array order, so each entry
+    receives the same products in the same order of ``k`` as in the
+    right-looking (KIJ, section 10.3) and row-by-row (IKJ) loops: the
+    factors are bitwise equal to theirs.  A zero pivot is replaced by
+    ``1e-12 * max|a|``, sets ``shifted`` and is logged as a warning.
 
-    ``lower`` (unit diagonal) and ``upper`` are CSR.  An apply is one
-    SuperLU solve of ``L (U D^-1) w = x``, ``D = diag(U)``, then the
-    scale ``D^-1 w``; ``x`` is one right-hand side or a 2-D array with one
-    per column.  Setup prepares the solve's arguments once: ``L`` as CSC
-    with its unit diagonal stored, and the strictly upper part of
-    ``U D^-1`` as CSC (SuperLU reads U's diagonal from L's, here all
-    ones), with ``intc`` indices, read-only because every apply shares
-    them.  The solve is scipy's private ``_superlu.gstrs``, which
-    ``spsolve_triangular`` ends in: called directly, it skips that
-    wrapper's per-call factor copy, ``setdiag`` and identity allocation,
-    about ten times the cost of the solve on the factors built here, and
-    solves both triangles in one call.  Its results are bitwise equal to
-    two ``spsolve_triangular`` calls, which the tests check.
+    Plans live in a small process-wide LRU cache keyed by the exact CSR
+    pattern after ``sum_duplicates``, so only the first factorization of a
+    pattern pays for its plan.  A plan holds three int32 positions per
+    update and a few per stored entry.
+
+    ``lower`` (unit diagonal) and ``upper`` are CSR, built on first use.
+    An apply is one SuperLU solve of ``L (U D^-1) w = x``, ``D = diag(U)``,
+    then the scale ``D^-1 w``; ``x`` is one right-hand side or a 2-D array
+    with one per column.  The plan's position maps gather the factored
+    values straight into the solve's arguments: ``L`` as CSC with its unit
+    diagonal stored and its exact zeros dropped, and the strictly upper
+    part of ``U D^-1`` as CSC (SuperLU reads U's diagonal from L's, here
+    all ones), read-only because every apply shares them.  The solve is
+    scipy's private ``_superlu.gstrs``, which ``spsolve_triangular`` ends
+    in: called directly, it skips that wrapper's per-call factor copy,
+    ``setdiag`` and identity allocation, about ten times the cost of the
+    solve on these factors, and solves both triangles in one call.  Its
+    results are bitwise equal to two ``spsolve_triangular`` calls, which
+    the tests check.
     """
 
     def __init__(self, matrix):
@@ -281,56 +457,49 @@ class ILU0Preconditioner:
         A = sp.csr_matrix(matrix, copy=True)
         A.sum_duplicates()
         n = A.shape[0]
-        indptr, indices, data = A.indptr, A.indices, A.data
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        # Row-major keys of the pattern, with a sentinel above every key.
-        key = np.append(rows * n + indices, n * n)
-        diag_key = np.arange(n, dtype=np.int64) * (n + 1)
-        diag_pos = np.searchsorted(key, diag_key)
-        if np.any(key[diag_pos] != diag_key):
-            raise ValueError("ILU(0) requires an explicit diagonal in the pattern")
-        # Column-major view of the pattern: positions into ``data``.
-        col_pos = np.argsort(indices, kind="stable")
-        col_rows = rows[col_pos]
-        col_end = np.cumsum(np.bincount(indices, minlength=n))
-        col_diag = np.empty(len(data), dtype=np.int64)
-        col_diag[col_pos] = np.arange(len(data))
-        col_diag = col_diag[diag_pos]
+        plan = _ilu0_plan(n, A.indptr.astype(np.int32).tobytes(),
+                          A.indices.astype(np.int32).tobytes())
+        data = A.data
         self.shifted = False
         scale = np.abs(data).max() if len(data) else 1.0
-        for k in range(n):
-            d = diag_pos[k]
-            if data[d] == 0.0:
-                data[d] = 1e-12 * scale
+        for pivots, lower, n_lower, target, l, u in plan.stages:
+            pivot = data.take(pivots)
+            if not pivot.all():
+                pivot[pivot == 0.0] = 1e-12 * scale
+                data.put(pivots, pivot)
                 self.shifted = True
-            below = slice(col_diag[k] + 1, col_end[k])
-            lo = col_pos[below]
-            if not len(lo):
-                continue
-            data[lo] /= data[d]
-            up = slice(d + 1, indptr[k + 1])
-            if up.start == up.stop:
-                continue
-            target = (col_rows[below, None] * n + indices[up]).ravel()
-            pos = np.searchsorted(key, target)
-            hit = key[pos] == target
-            data[pos[hit]] -= np.multiply.outer(data[lo], data[up]).ravel()[hit]
+            data.put(lower, data.take(lower) / pivot.repeat(n_lower))
+            np.subtract.at(data, target, data.take(l) * data.take(u))
         if self.shifted:
             log.warning("ILU(0) applied a diagonal shift to avoid a zero pivot")
-        factored = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=A.shape)
-        self.lower = sp.tril(factored, k=-1).tocsr() + sp.eye(n, format="csr")
-        self.upper = sp.triu(factored, k=0).tocsr()
-        self._inv_diag = 1.0 / data[diag_pos]
-        upper_csc = sp.triu(factored, k=1).tocsc()
-        upper_csc.data *= np.repeat(self._inv_diag, np.diff(upper_csc.indptr))
+        self._factored = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+        self._inv_diag = 1.0 / data[plan.diag]
+        l_data = data[plan.l_map]
+        l_data[plan.l_indptr[:-1]] = 1.0
+        # The solve's lower factor drops entries that factor to exactly
+        # zero, as ``lower`` (a scipy sparse sum) does.
+        kept = l_data != 0.0
+        l_indptr = np.concatenate(([0], np.cumsum(kept)))[plan.l_indptr].astype(np.intc)
+        u_data = data[plan.u_map] * np.repeat(self._inv_diag, np.diff(plan.u_indptr))
         args = ["N"]
-        for m in (self.lower.tocsc(), upper_csc):
-            arrays = (m.data, m.indices.astype(np.intc), m.indptr.astype(np.intc))
+        for arrays in ((l_data[kept], plan.l_rows[kept], l_indptr),
+                       (u_data, plan.u_rows, plan.u_indptr)):
             for arr in arrays:
                 arr.flags.writeable = False
-            args += [n, m.nnz, *arrays]
+            args += [n, len(arrays[0]), *arrays]
         self._inv_diag.flags.writeable = False
         self._solve = partial(gstrs, *args)
+
+    @cached_property
+    def lower(self):
+        """Unit lower factor as CSR, built on first use."""
+        return sp.tril(self._factored, k=-1).tocsr() + sp.eye(self._factored.shape[0],
+                                                              format="csr")
+
+    @cached_property
+    def upper(self):
+        """Upper factor, with the pivots, as CSR, built on first use."""
+        return sp.triu(self._factored, k=0).tocsr()
 
     def apply(self, x):
         # gstrs leaves x unchanged and returns a new Fortran-ordered array.

@@ -1,10 +1,12 @@
 import logging
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nbflow import krylov
 from nbflow.krylov import (
     ILU0Preconditioner,
     JacobiPreconditioner,
@@ -103,6 +105,19 @@ def assert_matches_ilu0_reference(matrix):
     for got, want in ((pc.lower, lower), (pc.upper, upper)):
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    # The solve's arguments are the CSC forms of L and of U D^-1 off its diagonal.
+    unit_upper = sp.triu(upper, k=1).tocsc()
+    unit_upper.data *= np.repeat(1.0 / upper.diagonal(), np.diff(unit_upper.indptr))
+    n = matrix.shape[0]
+    want_args = ["N"]
+    for m in (lower.tocsc(), unit_upper):
+        want_args += [n, m.nnz, m.data, m.indices.astype(np.intc), m.indptr.astype(np.intc)]
+    assert len(pc._solve.args) == len(want_args)
+    for got, want in zip(pc._solve.args, want_args):
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        else:
+            assert got == want
     rng = np.random.default_rng(0)
     b = rng.normal(size=matrix.shape[0])
     y = spsolve_triangular(lower, b, lower=True, unit_diagonal=True)
@@ -461,6 +476,131 @@ class TestILU0:
         a.eliminate_zeros()
         with pytest.raises(ValueError, match="diagonal"):
             ILU0Preconditioner(a)
+
+
+def _plan(a):
+    """The cached ILU(0) plan of the canonical CSR pattern of ``a``."""
+    return krylov._ilu0_plan(a.shape[0], a.indptr.astype(np.int32).tobytes(),
+                             a.indices.astype(np.int32).tobytes())
+
+
+def _updates(plan):
+    return sum(len(target) for *_, target, _l, _u in plan.stages)
+
+
+def _assert_same_factors(pc, other):
+    for got, want in ((pc.lower, other.lower), (pc.upper, other.upper)):
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+    assert pc.shifted == other.shifted
+
+
+def _velocity_block_pattern(nx, ny, nz):
+    """Pattern of a P1 velocity block on a box: 3x3 blocks per node pair."""
+    from nbflow.structured import box_mesh
+
+    tets = box_mesh(nx, ny, nz).tets
+    rows, cols = np.repeat(tets, 4, axis=1).ravel(), np.tile(tets, 4).ravel()
+    nodes = sp.csr_matrix((np.ones(len(rows)), (rows, cols)))
+    nodes.data[:] = -1.0
+    return (sp.kron(nodes, np.ones((3, 3))) + 100.0 * sp.eye(3 * nodes.shape[0])).tocsr()
+
+
+class TestILU0Plan:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        krylov._ilu0_plan.cache_clear()
+
+    def test_same_pattern_reuses_the_plan(self):
+        a = poisson_2d(6)
+        ILU0Preconditioner(a)
+        ILU0Preconditioner(2.0 * a)  # other values, same pattern
+        info = krylov._ilu0_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        ILU0Preconditioner(poisson_2d(7))
+        info = krylov._ilu0_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+    def test_cache_is_bounded(self):
+        size = krylov._PLAN_CACHE_SIZE
+        for m in range(2, size + 3):
+            ILU0Preconditioner(poisson_2d(m))
+        assert krylov._ilu0_plan.cache_info().currsize == size
+        ILU0Preconditioner(poisson_2d(2))  # the oldest pattern was evicted
+        assert krylov._ilu0_plan.cache_info().misses == size + 2
+
+    def test_cache_hit_factors_bitwise_equal(self):
+        rng = np.random.default_rng(5)
+        off = sp.random(120, 120, density=0.05, random_state=6, format="csr")
+        a = (off + sp.diags(rng.uniform(1.0, 2.0, 120))).tocsr()
+        miss = ILU0Preconditioner(a)
+        hit = ILU0Preconditioner(a)
+        assert krylov._ilu0_plan.cache_info().hits == 1
+        _assert_same_factors(hit, miss)
+        assert_matches_ilu0_reference(a)  # a third build, also a hit
+
+    def test_zero_pivot_on_a_cached_plan(self, caplog):
+        rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        ILU0Preconditioner(sp.csr_matrix((np.array([2.0, 1.0, 1.0, 1.0]), (rows, cols))))
+        with caplog.at_level(logging.WARNING, logger="nbflow.krylov"):
+            pc = ILU0Preconditioner(sp.csr_matrix((np.array([0.0, 1.0, 1.0, 1.0]),
+                                                   (rows, cols))))
+        assert krylov._ilu0_plan.cache_info().hits == 1
+        assert pc.shifted
+        assert "ILU(0) applied a diagonal shift to avoid a zero pivot" in caplog.messages
+
+    def test_unsorted_and_duplicate_entries_share_the_plan(self):
+        a = poisson_2d(5)
+        ILU0Preconditioner(a)
+        # Each row reversed, and every diagonal entry split in two.
+        rows = np.repeat(np.arange(25), np.diff(a.indptr))
+        keep = np.lexsort((-a.indices, rows))
+        data, cols, rows = a.data[keep], a.indices[keep], rows[keep]
+        diag = rows == cols
+        data = np.concatenate((np.where(diag, 0.25 * data, data), 0.75 * data[diag]))
+        rows, cols = np.concatenate((rows, rows[diag])), np.concatenate((cols, cols[diag]))
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=25))))
+        messy = sp.csr_matrix((data[order], cols[order], indptr), shape=a.shape)
+        assert not messy.has_canonical_format
+        pc = ILU0Preconditioner(messy)
+        info = krylov._ilu0_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        summed = messy.copy()
+        summed.sum_duplicates()
+        _assert_same_factors(pc, ILU0Preconditioner(summed))
+        assert_matches_ilu0_reference(summed)
+
+    def test_plan_bytes_per_update(self):
+        # Three int32 positions per update, plus the per-entry maps.
+        plan, retained, _ = self._traced_plan(_velocity_block_pattern(3, 3, 8))
+        assert retained <= 16 * _updates(plan)
+
+    @pytest.mark.parametrize("m", [48, 96])
+    def test_symbolic_memory_is_linear(self, m):
+        # 2-D Poisson has 2.5 entries per update, so its per-entry arrays
+        # dominate; a bound per update that holds at both sizes fails any
+        # n x n array (n = m^2).
+        plan, retained, peak = self._traced_plan(poisson_2d(m))
+        updates = _updates(plan)
+        assert retained <= 96 * updates
+        assert peak <= 256 * updates
+
+    @staticmethod
+    def _traced_plan(matrix):
+        """The plan, and its retained and peak traced bytes, key bytes included."""
+        _plan(poisson_2d(3))  # first-call allocations are not the plan's
+        krylov._ilu0_plan.cache_clear()
+        matrix = sp.csr_matrix(matrix)
+        assert matrix.has_canonical_format
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            plan = _plan(matrix)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return plan, current - start, peak - start
 
 
 def test_settings_validation():
