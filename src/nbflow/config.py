@@ -52,6 +52,18 @@ class ConfigError(ValueError):
     """Raised for missing or inconsistent configuration values."""
 
 
+_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
+
+
+def _check(obj, rule, *names):
+    """A ``ConfigError`` for the first field in ``names`` whose value (or, in a
+    tuple field, some entry) is not ``rule``: positive or non-negative."""
+    for name in names:
+        value = getattr(obj, name)
+        if not all(map(_RULES[rule], value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be {rule}")
+
+
 @dataclass(frozen=True)
 class MeshSource:
     path: Optional[str] = None
@@ -68,11 +80,17 @@ class InflowConfig:
     perturbation: float = 0.0
     waveform: tuple = ()  # optional ((t, q), ...) piecewise-linear table
 
+    def __post_init__(self):
+        _check(self, "non-negative", "ramp_time", "perturbation")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
     cadence: int = 0  # write field snapshots every N steps; 0 disables
+
+    def __post_init__(self):
+        _check(self, "non-negative", "cadence")
 
 
 @dataclass(frozen=True)
@@ -96,6 +114,10 @@ class BenchConfig:
     resistances: tuple = ()
     cases: tuple = ()
 
+    def __post_init__(self):
+        _check(self, "non-negative", "freeze_step", "resistances")
+        SolverSettings(restart=self.restart, rtol=self.rtol, max_iters=self.max_iters)
+
 
 @dataclass(frozen=True)
 class MMSConfig:
@@ -109,6 +131,8 @@ class MMSConfig:
     steady_steps: int = 6
 
     def __post_init__(self):
+        _check(self, "positive", "final_time", "step_counts", "mesh_sizes",
+               "box_n", "steady_dt", "steady_steps")
         if self.mode not in STUDIES:
             raise ConfigError(f"unknown study mode {self.mode!r}")
         if self.solution and self.solution not in STUDIES[self.mode]:
@@ -142,6 +166,8 @@ class SimulationConfig:
             raise ConfigError("dt must be positive")
         if not 0.0 <= self.rho_inf <= 1.0:
             raise ConfigError("rho_inf must lie in [0, 1]")
+        _check(self, "non-negative", "backflow_beta", "steps")
+        _check(self, "positive", "n_ts_0d")
         if self.solver.preconditioner not in PRECONDITIONERS:
             raise ConfigError(f"unknown preconditioner {self.solver.preconditioner!r}")
 

@@ -130,10 +130,18 @@ def build_system(config: SimulationConfig, mesh: Mesh, rng=None) -> FlowSystem:
     # In outlet-group order; FlowSystem rejects a missing or unknown name.
     models = {name: config.outlets[name] for name in outlet_groups
               if name in config.outlets} | config.outlets
-    dirichlet_groups = [
-        g.name for g in mesh.facet_groups.values() if g.tag in ("inlet", "wall")
-    ]
-    dofmap = DofMap.from_mesh(mesh, dirichlet_groups)
+    # The inflow first, then every other inlet or wall group held at rest.
+    velocity_bcs, inflow = [], None
+    if config.inflow is not None:
+        inflow = config.inflow.surface
+        tag = mesh.group(inflow).tag
+        if tag != "inlet":
+            raise ValueError(f"inflow surface {inflow!r} is a {tag} group, not an inlet group")
+        velocity_bcs.append(DirichletVelocity(inflow, _inflow_value_fn(config, mesh, rng)))
+    velocity_bcs += [DirichletVelocity(g.name, lambda coords, t: np.zeros_like(coords))
+                     for g in mesh.facet_groups.values()
+                     if g.tag in ("inlet", "wall") and g.name != inflow]
+    dofmap = DofMap.from_mesh(mesh, [bc.group for bc in velocity_bcs])
     assembler = NavierStokesAssembler(
         mesh,
         dofmap,
@@ -142,15 +150,6 @@ def build_system(config: SimulationConfig, mesh: Mesh, rng=None) -> FlowSystem:
         outlets=outlet_groups,
         beta=config.backflow_beta,
     )
-    velocity_bcs = []
-    if config.inflow is not None:
-        value = _inflow_value_fn(config, mesh, rng)
-        velocity_bcs.append(DirichletVelocity(config.inflow.surface, value))
-    for g in mesh.facet_groups.values():
-        if g.tag == "wall" or (g.tag == "inlet" and (config.inflow is None or g.name != config.inflow.surface)):
-            velocity_bcs.append(
-                DirichletVelocity(g.name, lambda coords, t: np.zeros_like(coords))
-            )
     return FlowSystem(
         mesh=mesh,
         dofmap=dofmap,

@@ -6,22 +6,21 @@ an intermediate solve with A, a Schur solve whose operator action
 solve, and a final A solve.  The SIMPLE variant replaces the Schur
 operator by the sparse approximation built from diag(A) and skips the
 inner level; the block-diagonal variant drops the coupling updates
-altogether.  All of them are meant to be wrapped in a flexible outer
-Krylov method since their action changes from call to call.
+altogether.  All three take their setup from one ``SchurContext`` and
+keep their own ``apply``.  They are meant to be wrapped in a flexible
+outer Krylov method since their action changes from call to call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import BlockTangent
 from .krylov import ILU0Preconditioner, JacobiPreconditioner, SolverSettings, gmres
-
-PC_A_CHOICES = ("jacobi", "ilu0", "none")
-PC_S_CHOICES = ("ilu0", "jacobi", "bipn", "none")
 
 
 @dataclass(frozen=True)
@@ -37,15 +36,10 @@ class NestedSettings:
     def __post_init__(self):
         if self.inner_rtol <= 0.0:
             raise ValueError("inner tolerance must be positive")
-        if self.pc_a not in PC_A_CHOICES:
-            raise ValueError(f"pc_a must be one of {PC_A_CHOICES}")
-        if self.pc_s not in PC_S_CHOICES:
-            raise ValueError(f"pc_s must be one of {PC_S_CHOICES}")
-
-    @property
-    def inner_settings(self) -> SolverSettings:
-        """Inner A-solves share the A restart/cap but use their own rtol."""
-        return replace(self.a_solve, rtol=self.inner_rtol)
+        if self.pc_a not in _PC_A:
+            raise ValueError(f"pc_a must be one of {tuple(_PC_A)}")
+        if self.pc_s not in _PC_S:
+            raise ValueError(f"pc_s must be one of {tuple(_PC_S)}")
 
 
 @dataclass
@@ -129,101 +123,90 @@ class BipnSchur:
         return apply
 
 
-def _build_pc_a(tangent: BlockTangent, kind: str):
-    if kind == "jacobi":
-        return JacobiPreconditioner(tangent.a_diagonal())
-    if kind == "ilu0":
-        return ILU0Preconditioner(tangent.F)  # the outlet terms are not factored
-    return None
-
-
-def _build_pc_s(tangent: BlockTangent, s_hat, kind: str):
-    if kind == "ilu0":
-        return ILU0Preconditioner(s_hat)
-    if kind == "jacobi":
-        return JacobiPreconditioner(s_hat.diagonal())
-    if kind == "bipn":
-        return BipnSchur(tangent).preconditioner()
-    return None
+# P_A and P_S by choice, each built from the SchurContext that owns it.
+_PC_A = {
+    "jacobi": lambda ctx: JacobiPreconditioner(ctx.tangent.a_diagonal()),
+    "ilu0": lambda ctx: ILU0Preconditioner(ctx.tangent.F),  # the outlet terms are not factored
+    "none": lambda ctx: None,
+}
+_PC_S = {
+    "ilu0": lambda ctx: ILU0Preconditioner(ctx.s_hat),
+    "jacobi": lambda ctx: JacobiPreconditioner(ctx.s_hat.diagonal()),
+    "bipn": lambda ctx: BipnSchur(ctx.tangent).preconditioner(),
+    "none": lambda ctx: None,
+}
 
 
 class SchurContext:
-    """Matrix-free Schur action with a shared A preconditioner.
+    """The setup every block preconditioner shares, and the matrix-free Schur action.
 
+    ``pc_a`` and ``pc_s`` come from ``_PC_A`` and ``_PC_S``.  The sparse
+    Schur approximation ``s_hat`` is built once, on first read: by the
+    ilu0 or jacobi ``pc_s``, or by the two-level preconditioners.
     ``apply(x_p)`` returns ``D x_p - C A^-1 (B x_p)`` where the inverse is
     an inner GMRES solve at the inner tolerance with the shared ``P_A``.
     Inner solves always start from zero for reproducibility; failures are
     recorded and the best iterate is used.
     """
 
-    def __init__(self, tangent: BlockTangent, settings: NestedSettings,
-                 stats: SubSolveStats | None = None):
+    def __init__(self, tangent: BlockTangent, settings: NestedSettings):
         self.tangent = tangent
         self.settings = settings
-        self.pc_a = _build_pc_a(tangent, settings.pc_a)
-        # Only the ilu0 and jacobi Schur preconditioners read the sparse approximation.
-        s_hat = schur_sparse_approx(tangent) if settings.pc_s in ("ilu0", "jacobi") else None
-        self.pc_s = _build_pc_s(tangent, s_hat, settings.pc_s)
-        self.stats = stats if stats is not None else SubSolveStats()
+        # Inner A-solves share the A restart/cap but use their own rtol.
+        self.inner_settings = replace(settings.a_solve, rtol=settings.inner_rtol)
+        self.stats = SubSolveStats()
+        self.pc_a = _PC_A[settings.pc_a](self)
+        self.pc_s = _PC_S[settings.pc_s](self)
+
+    @cached_property
+    def s_hat(self):
+        """The sparse Schur approximation, built on first read."""
+        return schur_sparse_approx(self.tangent)
 
     def apply(self, x_p):
         t = self.tangent
         bx = t.B @ x_p
-        tilde, st = gmres(
-            t.apply_velocity_block, bx, self.settings.inner_settings,
-            preconditioner=self.pc_a,
-        )
+        tilde, st = gmres(t.apply_velocity_block, bx, self.inner_settings,
+                          preconditioner=self.pc_a)
         self.stats.record("inner A solve", st, inner=True)
         return t.D @ x_p - t.C @ tilde
 
     __call__ = apply
 
 
-class SCRPreconditioner:
-    """Inexact block LDU back substitution with the matrix-free Schur solve."""
-
-    name = "scr"
+class _BlockPreconditioner:
+    """Setup of the three block preconditioners; each defines its own ``apply``."""
 
     def __init__(self, tangent: BlockTangent, settings: NestedSettings):
         self.tangent = tangent
         self.settings = settings
-        self.stats = SubSolveStats()
-        self.context = SchurContext(tangent, settings, stats=self.stats)
+        self.context = SchurContext(tangent, settings)
+        self.stats = self.context.stats
+
+
+class SCRPreconditioner(_BlockPreconditioner):
+    """Inexact block LDU back substitution with the matrix-free Schur solve."""
 
     def apply(self, s):
-        t = self.tangent
+        t, ctx = self.tangent, self.context
         s = np.asarray(s, dtype=float)
         s_v, s_p = s[: t.n_v].copy(), s[t.n_v:].copy()
         y_hat, st = gmres(t.apply_velocity_block, s_v, self.settings.a_solve,
-                          preconditioner=self.context.pc_a)
+                          preconditioner=ctx.pc_a)
         self.stats.record("intermediate A solve (1)", st)
         s_p -= t.C @ y_hat
-        y_p, st = gmres(self.context.apply, s_p, self.settings.s_solve,
-                        preconditioner=self.context.pc_s)
+        y_p, st = gmres(ctx.apply, s_p, self.settings.s_solve, preconditioner=ctx.pc_s)
         self.stats.record("Schur solve", st)
         s_v = s_v - t.B @ y_p
         y_v, st = gmres(t.apply_velocity_block, s_v, self.settings.a_solve,
-                        preconditioner=self.context.pc_a)
+                        preconditioner=ctx.pc_a)
         self.stats.record("intermediate A solve (2)", st)
         return np.concatenate([y_v, y_p])
 
     __call__ = apply
 
 
-class _SparseSchurSetup:
-    """Setup shared by the two-level preconditioners: ``P_A``, the sparse
-    Schur approximation ``s_hat`` with its preconditioner, and diag(A)^-1."""
-
-    def __init__(self, tangent: BlockTangent, settings: NestedSettings):
-        self.tangent = tangent
-        self.settings = settings
-        self.stats = SubSolveStats()
-        self.pc_a = _build_pc_a(tangent, settings.pc_a)
-        self.s_hat, self.inv_diag_a = _diagonal_schur(tangent, tangent.a_diagonal(), "A")
-        self.pc_s = _build_pc_s(tangent, self.s_hat, settings.pc_s)
-
-
-class SIMPLEPreconditioner(_SparseSchurSetup):
+class SIMPLEPreconditioner(_BlockPreconditioner):
     """Two-level variant: sparse Schur approximation, no inner solver.
 
     The pressure system is solved on the sparse approximation built from
@@ -231,18 +214,19 @@ class SIMPLEPreconditioner(_SparseSchurSetup):
     equation is left unperturbed.
     """
 
-    name = "simple"
+    def __init__(self, tangent: BlockTangent, settings: NestedSettings):
+        super().__init__(tangent, settings)
+        self.inv_diag_a = 1.0 / tangent.a_diagonal()
 
     def apply(self, s):
-        t = self.tangent
+        t, ctx = self.tangent, self.context
         s = np.asarray(s, dtype=float)
         s_v, s_p = s[: t.n_v].copy(), s[t.n_v:].copy()
         y_hat, st = gmres(t.apply_velocity_block, s_v, self.settings.a_solve,
-                          preconditioner=self.pc_a)
+                          preconditioner=ctx.pc_a)
         self.stats.record("intermediate A solve", st)
         s_p -= t.C @ y_hat
-        y_p, st = gmres(self.s_hat, s_p, self.settings.s_solve,
-                        preconditioner=self.pc_s)
+        y_p, st = gmres(ctx.s_hat, s_p, self.settings.s_solve, preconditioner=ctx.pc_s)
         self.stats.record("sparse Schur solve", st)
         y_v = y_hat - self.inv_diag_a * (t.B @ y_p)
         return np.concatenate([y_v, y_p])
@@ -250,19 +234,16 @@ class SIMPLEPreconditioner(_SparseSchurSetup):
     __call__ = apply
 
 
-class BlockDiagPreconditioner(_SparseSchurSetup):
+class BlockDiagPreconditioner(_BlockPreconditioner):
     """Weakest baseline: independent A and sparse-Schur solves, no coupling."""
 
-    name = "block_diag"
-
     def apply(self, s):
-        t = self.tangent
+        t, ctx = self.tangent, self.context
         s = np.asarray(s, dtype=float)
         y_v, st = gmres(t.apply_velocity_block, s[: t.n_v], self.settings.a_solve,
-                        preconditioner=self.pc_a)
+                        preconditioner=ctx.pc_a)
         self.stats.record("A solve", st)
-        y_p, st = gmres(self.s_hat, s[t.n_v:], self.settings.s_solve,
-                        preconditioner=self.pc_s)
+        y_p, st = gmres(ctx.s_hat, s[t.n_v:], self.settings.s_solve, preconditioner=ctx.pc_s)
         self.stats.record("sparse Schur solve", st)
         return np.concatenate([y_v, y_p])
 
@@ -270,8 +251,6 @@ class BlockDiagPreconditioner(_SparseSchurSetup):
 
 
 class IdentityPreconditioner:
-    name = "none"
-
     def __init__(self, tangent=None, settings=None):
         self.stats = SubSolveStats()
 

@@ -5,7 +5,8 @@ profiled tubes.  Hexahedra are cut into prisms, and all prisms of a mesh
 are split into tets by one array routine, ``_split_prisms``.  It applies
 the minimum-index diagonal rule from two tables (``_PRISM_PERMS`` and
 ``_PRISM_TETS``), so that shared faces always receive the same diagonal,
-which keeps the decomposition conforming.
+which keeps the decomposition conforming.  Every tet comes out
+positively oriented by construction; no determinant is taken.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ def _split_prisms(prisms):
     # Quad slots in cyclic order a1 a2 a5 a4: an even position holds a1 or a5.
     row = a[:, [1, 2, 5, 4]].argmin(axis=1) % 2
     return np.take_along_axis(a, _PRISM_TETS[row].reshape(len(a), 12), axis=1).reshape(-1, 4)
-
-
-def _fix_orientation(nodes, tets):
-    x = nodes[tets]
-    det = np.linalg.det(x[:, 1:, :] - x[:, :1, :])
-    flip = det < 0.0
-    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    return tets
 
 
 def _plane_mesh(nodes, tets, planes, choices, eps):
@@ -138,7 +131,12 @@ def tube_mesh(radius, length, n_r=2, n_theta=8, n_z=4, radius_profile=None,
     nodes = np.concatenate([xy, z], axis=2).reshape(-1, 3)
     prisms = np.concatenate([disk_tris, disk_tris + per_slice], axis=1)
     prisms = (per_slice * np.arange(n_z)[:, None, None] + prisms).reshape(-1, 6)
-    tets = _fix_orientation(nodes, _split_prisms(prisms))
+    tets = _split_prisms(prisms)
+    # The disk's fan triangles wind counter-clockwise and its band triangles
+    # clockwise, so the tets of band prisms, and only those, come out
+    # negatively oriented: swap two of their nodes.
+    flip = np.repeat(np.tile(np.arange(len(disk_tris)) >= n_theta, n_z), 3)
+    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
 
     choices = [(inlet, "inlet"), (outlet, "outlet"), (wall, "wall")]
     return _plane_mesh(nodes, tets, [(2, 0.0), (2, length)], choices,

@@ -124,6 +124,12 @@ class NewtonSettings:
     tol_abs: float = 1.0e-6
     max_iters: int = 20
 
+    def __post_init__(self):
+        if self.tol_rel < 0.0 or self.tol_abs < 0.0:
+            raise ValueError("tolerances must be non-negative")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+
 
 @dataclass(frozen=True)
 class LinearSolveConfig:

@@ -10,6 +10,7 @@ import pytest
 
 import nbflow
 from nbflow import config as nbconfig
+from nbflow import precond
 from nbflow.cli import main as cli_main
 from nbflow.config import (
     ConfigError,
@@ -168,6 +169,46 @@ class TestConfig:
         pytest.param("[mms]\nmode = spatial\nsolution = shear\n",
                      r"^\[mms\] solution: a spatial study runs taylor_green, not 'shear'",
                      id="mms-spatial-shear"),
+        pytest.param("[output]\ncadence = -1\n",
+                     r"^\[output\] cadence: cadence must be non-negative", id="output-cadence"),
+        pytest.param("[fluid]\nbackflow_beta = -0.1\n",
+                     r"^\[fluid\] backflow_beta: backflow_beta must be non-negative", id="fluid-backflow_beta"),
+        pytest.param("[time]\nsteps = -1\n",
+                     r"^\[time\] steps: steps must be non-negative", id="time-steps"),
+        pytest.param("[newton]\nmax_iters = 0\n",
+                     r"^\[newton\] max_iters: max_iters must be at least 1", id="newton-max_iters"),
+        pytest.param("[newton]\ntol_rel = -1e-6\n",
+                     r"^\[newton\] tol_rel: tolerances must be non-negative", id="newton-tol_rel"),
+        pytest.param("[newton]\ntol_abs = -1e-6\n",
+                     r"^\[newton\] tol_abs: tolerances must be non-negative", id="newton-tol_abs"),
+        pytest.param("[inflow]\nramp_time = -0.1\n",
+                     r"^\[inflow\] ramp_time: ramp_time must be non-negative", id="inflow-ramp_time"),
+        pytest.param("[inflow]\nperturbation = -0.1\n",
+                     r"^\[inflow\] perturbation: perturbation must be non-negative", id="inflow-perturbation"),
+        pytest.param("[solver]\nn_ts_0d = 0\n",
+                     r"^\[solver\] n_ts_0d: n_ts_0d must be positive", id="solver-n_ts_0d"),
+        pytest.param("[bench]\nrtol = -1e-8\n",
+                     r"^\[bench\] rtol: tolerances must be positive", id="bench-rtol"),
+        pytest.param("[bench]\nrestart = 0\n",
+                     r"^\[bench\] restart: restart and max_iters must be at least 1", id="bench-restart"),
+        pytest.param("[bench]\nmax_iters = 0\n",
+                     r"^\[bench\] max_iters: restart and max_iters must be at least 1", id="bench-max_iters"),
+        pytest.param("[bench]\nresistances = 1e2 -1e5\n",
+                     r"^\[bench\] resistances: resistances must be non-negative", id="bench-resistances"),
+        pytest.param("[bench]\nfreeze_step = -1\n",
+                     r"^\[bench\] freeze_step: freeze_step must be non-negative", id="bench-freeze_step"),
+        pytest.param("[mms]\nstep_counts = 8 0 32\n",
+                     r"^\[mms\] step_counts: step_counts must be positive", id="mms-step_counts"),
+        pytest.param("[mms]\nmesh_sizes = 2 -4\n",
+                     r"^\[mms\] mesh_sizes: mesh_sizes must be positive", id="mms-mesh_sizes"),
+        pytest.param("[mms]\nbox_n = 0\n",
+                     r"^\[mms\] box_n: box_n must be positive", id="mms-box_n"),
+        pytest.param("[mms]\nfinal_time = 0\n",
+                     r"^\[mms\] final_time: final_time must be positive", id="mms-final_time"),
+        pytest.param("[mms]\nsteady_dt = -50\n",
+                     r"^\[mms\] steady_dt: steady_dt must be positive", id="mms-steady_dt"),
+        pytest.param("[mms]\nsteady_steps = 0\n",
+                     r"^\[mms\] steady_steps: steady_steps must be positive", id="mms-steady_steps"),
         pytest.param("[time]\ndt = abc\n",
                      r"^\[time\] dt: could not convert string to float: 'abc'", id="float"),
         pytest.param("[time]\nsteps = 2.5\n", r"^\[time\] steps: invalid literal", id="int"),
@@ -217,6 +258,24 @@ class TestConfig:
         keys |= {key for _, table in nbconfig._OUTLET_KEYS.values() for key in table}
         assert sorted(k for k in keys if f"`{k}`" not in readme) == []
         assert sorted(s for s in nbconfig._KEYS if f"`[{s}]`" not in readme) == []
+
+    @pytest.mark.parametrize("tag", ["wall", "outlet"])
+    def test_inflow_surface_must_be_an_inlet_group(self, tag):
+        # A wall-tagged inflow surface used to be overwritten by the wall's
+        # zero velocity; an outlet-tagged one got values on free dofs.
+        cfg = parse_config("[inflow]\nsurface = zmin\nflow_rate = 1\n")
+        with pytest.raises(ValueError, match=f"inflow surface 'zmin' is a {tag} group"):
+            build_system(cfg, box_mesh(2, 2, 4, face_tags={"zmin": ("zmin", tag)}))
+        mesh = box_mesh(2, 2, 4, face_tags={"zmin": ("zmin", "inlet")})
+        system = build_system(cfg, mesh)
+        groups = [bc.group for bc in system.velocity_bcs]
+        assert groups == ["zmin"] + [name for name in mesh.facet_groups if name != "zmin"]
+
+    def test_readme_names_every_preconditioner_choice(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            bullet = fh.read().split("\n- `[solver]`:", 1)[1].split("\n- ", 1)[0]
+        choices = {*precond.PRECONDITIONERS, *precond._PC_A, *precond._PC_S}
+        assert sorted(c for c in choices if f"`{c}`" not in bullet) == []
 
     def test_with_resistance(self):
         cfg = parse_config("[outlet.a]\ntype = resistance\nR = 10\n")

@@ -153,14 +153,31 @@ def test_ilu0_matches_reference_on_fixture(tube_blocks, block):
     assert_matches_ilu0_reference(tangent.F if block == "F" else schur_sparse_approx(tangent))
 
 
-@pytest.mark.parametrize("pc_s", ["bipn", "none"])
-def test_schur_context_skips_unused_sparse_approx(monkeypatch, pc_s):
-    def unused(tangent):
-        raise AssertionError("sparse Schur approximation built but not used")
+@pytest.mark.parametrize("pc_s", ["ilu0", "jacobi", "bipn", "none"])
+@pytest.mark.parametrize("pc_a", ["jacobi", "ilu0", "none"])
+@pytest.mark.parametrize("name", ["scr", "simple", "block_diag"])
+def test_setup_builds_each_part_once(monkeypatch, name, pc_a, pc_s):
+    # One build and one apply.  The sparse Schur approximation is built once
+    # if the Schur preconditioner or a two-level variant reads it, else never.
+    calls = {"schur_sparse_approx": 0, "ILU0Preconditioner": 0}
 
-    monkeypatch.setattr(precond, "schur_sparse_approx", unused)
-    ctx = SchurContext(_synthetic_tangent(), replace(TIGHT, pc_s=pc_s))
-    assert (ctx.pc_s is None) == (pc_s == "none")
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(precond, "schur_sparse_approx", counted(schur_sparse_approx))
+    monkeypatch.setattr(precond, "ILU0Preconditioner", counted(ILU0Preconditioner))
+    t = _synthetic_tangent()
+    pc = build_preconditioner(name, t, replace(TIGHT, pc_a=pc_a, pc_s=pc_s))
+    pc.apply(np.ones(t.n))
+    assert calls == {
+        "schur_sparse_approx": int(name != "scr" or pc_s in ("ilu0", "jacobi")),
+        "ILU0Preconditioner": (pc_a == "ilu0") + (pc_s in ("ilu0", "bipn")),
+    }
+    assert pc.stats is pc.context.stats
+    assert (pc.context.pc_s is None) == (pc_s == "none")
 
 
 class TestSCR:
