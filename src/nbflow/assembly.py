@@ -33,6 +33,8 @@ from .quadrature import TET4_BARY, TRI3_BARY
 DEFAULT_C_T = 4.0
 DEFAULT_C_I = 36.0
 DEFAULT_BETA = 0.2
+# Elements per residual block: a block's quadrature state stays in cache.
+_ELEMENT_BLOCK = 2048
 
 
 class DofMap:
@@ -205,45 +207,46 @@ class NavierStokesAssembler:
 
     # -- shared state -------------------------------------------------
 
-    def _volume_state(self, v, vdot, p, dt, time):
+    def _volume_state(self, v, vdot, p, dt, time, block=slice(None)):
         """Quadrature-point state read by both the residual and the tangent.
 
-        Arrays are (E, q, i) unless noted: ``gradv`` (E, i, j), ``divv``
-        (E,), ``u``, ``pq`` (E, q), ``acc = dv/dt + v.grad(v) - b``,
+        ``block`` slices the elements; E counts the elements in it.  Arrays
+        are (E, q, i) unless noted: ``gradv`` (E, i, j), ``divv`` (E,),
+        ``u``, ``acc = dv/dt + v.grad(v) - b``,
         ``rM = rho acc + grad(p)``, ``gu = G u`` and ``tau_m``, ``tau_c``
         (E, q).  Without stabilization ``gu`` and both taus are zero.
         """
         lam = TET4_BARY
-        ve = v[self.conn]
-        pe = p[self.conn]
-        gradv = ve.transpose(0, 2, 1) @ self.dN
+        conn, dN = self.conn[block], self.dN[block]
+        ve = v[conn]
+        pe = p[conn]
+        gradv = ve.transpose(0, 2, 1) @ dN
         u = lam @ ve
         del ve
-        acc = lam @ vdot[self.conn]
+        acc = lam @ vdot[conn]
         # Stacked matmuls run several times faster on contiguous operands
         # than on transposed views, so gradv^T is copied once.
         acc += u @ gradv.transpose(0, 2, 1).copy()
         if self.body_force is not None:
-            xq = lam @ self.mesh.nodes[self.conn]
+            xq = lam @ self.mesh.nodes[conn]
             acc -= np.asarray(self.body_force(xq, time), dtype=float)
         rM = self.rho * acc
-        rM += pe[:, None] @ self.dN
+        rM += pe[:, None] @ dN
         s = {
             "gradv": gradv,
             "divv": gradv[:, 0, 0] + gradv[:, 1, 1] + gradv[:, 2, 2],
             "u": u,
-            "pq": pe @ lam.T,
             "acc": acc,
             "rM": rM,
         }
         if self.stabilization:
-            gu = u @ self.G  # G is symmetric
+            gu = u @ self.G[block]  # G is symmetric
             quad = np.vecdot(u, gu)
             quad += DEFAULT_C_T / dt**2
-            quad += DEFAULT_C_I * (self.mu / self.rho) ** 2 * self.GG[:, None]
+            quad += DEFAULT_C_I * (self.mu / self.rho) ** 2 * self.GG[block, None]
             tau_m = 1.0 / (self.rho * np.sqrt(quad))
             s["gu"], s["tau_m"] = gu, tau_m
-            s["tau_c"] = 1.0 / (tau_m * self.trG[:, None])
+            s["tau_c"] = 1.0 / (tau_m * self.trG[block, None])
         else:
             s["gu"] = np.zeros_like(u)
             s["tau_m"] = np.zeros(u.shape[:2])
@@ -259,13 +262,12 @@ class NavierStokesAssembler:
         magnitudes in the order of ``outlets``; Dirichlet values are
         assumed to be embedded in ``v`` already.
 
-        The volume terms are grouped into batched matmuls.  With
-        ``wt = w tau_M`` and ``k = tau_M w (u - tau_M rM) . dN_a``:
-        ``rho lam^T (w acc - wt gradv rM) + rho k^T rM`` holds the
-        Galerkin inertia, both cross terms and the subgrid stress, then
-        come the viscous term and one ``N_a,i`` term for pressure and
-        grad-div.  Intermediates are freed as soon as they are used, so
-        the peak memory stays a few state arrays.
+        The volume terms run over blocks of ``_ELEMENT_BLOCK`` elements,
+        so the peak memory is one block's state plus the (E, 4, 3) and
+        (E, 4) element arrays.  Each element goes through the same
+        kernels whatever the block size, and the scatter sums the element
+        arrays in one pass, so the residual does not depend on the block
+        size, bit for bit.
         """
         pressures = np.asarray(outlet_pressures, dtype=float)
         if pressures.shape != (len(self.outlets),):
@@ -273,9 +275,38 @@ class NavierStokesAssembler:
                              f"got an array of shape {pressures.shape}")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
             raise ValueError("state contains non-finite values")
+        E = len(self.conn)
+        # The quadrature pressures are one (E, 4) x (4, 4) product, not one
+        # per block: BLAS rounds a one-row product unlike a row of a larger one.
+        pq_sum = (p[self.conn] @ TET4_BARY.T).sum(axis=1)
+        rm, rp = np.empty((E, 4, 3)), np.empty((E, 4))
+        for start in range(0, E, _ELEMENT_BLOCK):
+            block = slice(start, start + _ELEMENT_BLOCK)
+            rm[block], rp[block] = self._volume_residual(v, vdot, p, dt, time, block,
+                                                         pq_sum[block])
+
+        n = self.n_nodes
+        momentum = np.bincount(self._vdofs.ravel(), weights=rm.ravel(), minlength=3 * n)
+        continuity = np.bincount(self.conn.ravel(), weights=rp.ravel(), minlength=n)
+        momentum += pressures @ self.outlet_weights
+        momentum += self._backflow_residual(v)
+        return Residual(momentum=momentum, continuity=continuity)
+
+    def _volume_residual(self, v, vdot, p, dt, time, block, pq_sum):
+        """Element momentum (E, a, i) and continuity (E, a) residuals of
+        ``block``; ``pq_sum`` (E,) sums the block's quadrature pressures.
+
+        The volume terms are grouped into batched matmuls.  With
+        ``wt = w tau_M`` and ``k = tau_M w (u - tau_M rM) . dN_a``:
+        ``rho lam^T (w acc - wt gradv rM) + rho k^T rM`` holds the
+        Galerkin inertia, both cross terms and the subgrid stress, then
+        come the viscous term and one ``N_a,i`` term for pressure and
+        grad-div.  Intermediates are freed as soon as they are used, so
+        the peak memory stays a few state arrays of the block.
+        """
         lam = TET4_BARY
-        s = self._volume_state(v, vdot, p, dt, time)
-        w, dN, rho = self.w, self.dN, self.rho
+        s = self._volume_state(v, vdot, p, dt, time, block)
+        w, dN, vol, rho = self.w[block], self.dN[block], self.vol[block], self.rho
         tau, rM, gradv, divv = s["tau_m"], s["rM"], s["gradv"], s["divv"]
         wt = w[:, None] * tau
         dNt = dN.transpose(0, 2, 1).copy()
@@ -302,16 +333,10 @@ class NavierStokesAssembler:
         rm *= rho
         gT += gradv  # 2 eps(v)
         visc = dN @ gT
-        visc *= (self.mu * self.vol)[:, None, None]
+        visc *= (self.mu * vol)[:, None, None]
         rm += visc
-        rm += (w * (s["tau_c"].sum(axis=1) * divv - s["pq"].sum(axis=1)))[:, None, None] * dN
-
-        n = self.n_nodes
-        momentum = np.bincount(self._vdofs.ravel(), weights=rm.ravel(), minlength=3 * n)
-        continuity = np.bincount(self.conn.ravel(), weights=rp.ravel(), minlength=n)
-        momentum += pressures @ self.outlet_weights
-        momentum += self._backflow_residual(v)
-        return Residual(momentum=momentum, continuity=continuity)
+        rm += (w * (s["tau_c"].sum(axis=1) * divv - pq_sum))[:, None, None] * dN
+        return rm, rp
 
     def _backflow_surface_state(self, v):
         """Velocity ``uq`` (K, q, i) and its normal part ``un`` (K, q) at the

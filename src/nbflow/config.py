@@ -133,6 +133,9 @@ class MMSConfig:
     def __post_init__(self):
         _check(self, "positive", "final_time", "step_counts", "mesh_sizes",
                "box_n", "steady_dt", "steady_steps")
+        for name in ("step_counts", "mesh_sizes"):
+            if len(getattr(self, name)) < 2:
+                raise ConfigError(f"{name} needs at least two entries for an order")
         if self.mode not in STUDIES:
             raise ConfigError(f"unknown study mode {self.mode!r}")
         if self.solution and self.solution not in STUDIES[self.mode]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -430,7 +430,8 @@ class ILU0Preconditioner:
     pattern pays for its plan.  A plan holds three int32 positions per
     update and a few per stored entry.
 
-    ``lower`` (unit diagonal) and ``upper`` are CSR, built on first use.
+    ``_factored`` holds both factors in the pattern of the matrix: ``L``
+    below the diagonal (its unit diagonal implied), ``U`` on and above it.
     An apply is one SuperLU solve of ``L (U D^-1) w = x``, ``D = diag(U)``,
     then the scale ``D^-1 w``; ``x`` is one right-hand side or a 2-D array
     with one per column.  The plan's position maps gather the factored
@@ -477,7 +478,7 @@ class ILU0Preconditioner:
         l_data = data[plan.l_map]
         l_data[plan.l_indptr[:-1]] = 1.0
         # The solve's lower factor drops entries that factor to exactly
-        # zero, as ``lower`` (a scipy sparse sum) does.
+        # zero, as a scipy sparse sum of the factors does.
         kept = l_data != 0.0
         l_indptr = np.concatenate(([0], np.cumsum(kept)))[plan.l_indptr].astype(np.intc)
         u_data = data[plan.u_map] * np.repeat(self._inv_diag, np.diff(plan.u_indptr))
@@ -489,17 +490,6 @@ class ILU0Preconditioner:
             args += [n, len(arrays[0]), *arrays]
         self._inv_diag.flags.writeable = False
         self._solve = partial(gstrs, *args)
-
-    @cached_property
-    def lower(self):
-        """Unit lower factor as CSR, built on first use."""
-        return sp.tril(self._factored, k=-1).tocsr() + sp.eye(self._factored.shape[0],
-                                                              format="csr")
-
-    @cached_property
-    def upper(self):
-        """Upper factor, with the pivots, as CSR, built on first use."""
-        return sp.triu(self._factored, k=0).tocsr()
 
     def apply(self, x):
         # gstrs leaves x unchanged and returns a new Fortran-ordered array.

@@ -201,6 +201,18 @@ class TestConfig:
                      r"^\[mms\] step_counts: step_counts must be positive", id="mms-step_counts"),
         pytest.param("[mms]\nmesh_sizes = 2 -4\n",
                      r"^\[mms\] mesh_sizes: mesh_sizes must be positive", id="mms-mesh_sizes"),
+        pytest.param("[mms]\nstep_counts = \n",
+                     r"^\[mms\] step_counts: step_counts needs at least two entries",
+                     id="mms-step_counts-empty"),
+        pytest.param("[mms]\nstep_counts = 8\n",
+                     r"^\[mms\] step_counts: step_counts needs at least two entries",
+                     id="mms-step_counts-one"),
+        pytest.param("[mms]\nmesh_sizes = \n",
+                     r"^\[mms\] mesh_sizes: mesh_sizes needs at least two entries",
+                     id="mms-mesh_sizes-empty"),
+        pytest.param("[mms]\nmesh_sizes = 4\n",
+                     r"^\[mms\] mesh_sizes: mesh_sizes needs at least two entries",
+                     id="mms-mesh_sizes-one"),
         pytest.param("[mms]\nbox_n = 0\n",
                      r"^\[mms\] box_n: box_n must be positive", id="mms-box_n"),
         pytest.param("[mms]\nfinal_time = 0\n",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nbflow import assembly
 from nbflow.assembly import (
     DEFAULT_C_I,
     DEFAULT_C_T,
@@ -592,6 +593,53 @@ def test_residual_peak_memory_per_tet():
     finally:
         tracemalloc.stop()
     assert peak <= 1200 * len(mesh.tets)
+
+
+def _box_residual_case(nx, ny, nz):
+    """Assembler on a box with a ``zmax`` outlet and seeded residual arguments."""
+    mesh = box_mesh(nx, ny, nz, face_tags={"zmax": ("outlet", "outlet")})
+    asm = NavierStokesAssembler(mesh, DofMap(mesh.n_nodes), RHO, MU, outlets=["outlet"])
+    rng = np.random.default_rng(5)
+    n = mesh.n_nodes
+    return asm, (rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), rng.normal(size=n),
+                 np.array([1.0]), 1e-3)
+
+
+@pytest.mark.parametrize("block", ["1", "7", "E-1", "E"])
+@pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "body_force",
+                                  "no_outlets", "box"])
+def test_residual_blocks_match_one_block(monkeypatch, case, block):
+    """Any element block size gives the one-block residual, bit for bit."""
+    if case == "box":
+        asm, args = _box_residual_case(8, 8, 10)
+    else:
+        asm, (v, vdot, p, pressures, dt, _) = _tube_tangent_case(case)
+        args = (v, vdot, p, pressures, dt)
+    E = len(asm.conn)
+    monkeypatch.setattr(assembly, "_ELEMENT_BLOCK", E)
+    whole = asm.residual(*args, time=0.1)
+    monkeypatch.setattr(assembly, "_ELEMENT_BLOCK",
+                        {"1": 1, "7": 7, "E-1": E - 1, "E": E}[block])
+    res = asm.residual(*args, time=0.1)
+    assert np.array_equal(res.momentum, whole.momentum)
+    assert np.array_equal(res.continuity, whole.continuity)
+    momentum, continuity, _ = _residual_reference(asm, *args, time=0.1)
+    for got, expected in ((res.momentum, momentum), (res.continuity, continuity)):
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_residual_peak_memory_is_per_block():
+    """Past one block, the residual's peak memory is a block's state plus
+    the element arrays: 994 B/tet here when all elements ran at once."""
+    asm, args = _box_residual_case(16, 16, 20)
+    asm.residual(*args)
+    tracemalloc.start()
+    try:
+        asm.residual(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * len(asm.conn)
 
 
 @pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "body_force", "no_outlets"])

@@ -27,6 +27,13 @@ def poisson_2d(n):
     )
 
 
+def _ilu0_factors(factored):
+    """Unit lower and upper factors, as CSR, of an ILU(0) stored in one
+    matrix: ``L`` below the diagonal, ``U`` on and above it."""
+    return (sp.tril(factored, k=-1).tocsr() + sp.eye(factored.shape[0], format="csr"),
+            sp.triu(factored, k=0).tocsr())
+
+
 def _ilu0_reference(matrix):
     """Row-by-row (IKJ) ILU(0); returns (lower, upper, shifted)."""
     A = sp.csr_matrix(matrix, copy=True)
@@ -72,19 +79,18 @@ def _ilu0_reference(matrix):
             data[diag_pos[i]] = 1e-12 * scale
             shifted = True
     factored = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=A.shape)
-    lower = sp.tril(factored, k=-1).tocsr() + sp.eye(n, format="csr")
-    upper = sp.triu(factored, k=0).tocsr()
-    return lower, upper, shifted
+    return *_ilu0_factors(factored), shifted
 
 
 def _ilu0_public_apply(pc, b):
     """``pc``'s apply through two public ``spsolve_triangular`` calls."""
     from scipy.sparse.linalg import spsolve_triangular
 
-    inv_diag = 1.0 / pc.upper.diagonal()
-    unit_upper = pc.upper.tocsc()
+    lower, upper = _ilu0_factors(pc._factored)
+    inv_diag = 1.0 / upper.diagonal()
+    unit_upper = upper.tocsc()
     unit_upper.data *= np.repeat(inv_diag, np.diff(unit_upper.indptr))
-    y = spsolve_triangular(pc.lower.tocsc(), b, lower=True, unit_diagonal=True)
+    y = spsolve_triangular(lower.tocsc(), b, lower=True, unit_diagonal=True)
     w = spsolve_triangular(unit_upper, y, lower=False, unit_diagonal=True)
     return (inv_diag * w.T).T
 
@@ -102,7 +108,7 @@ def assert_matches_ilu0_reference(matrix):
     lower, upper, shifted = _ilu0_reference(matrix)
     pc = ILU0Preconditioner(matrix)
     assert pc.shifted == shifted
-    for got, want in ((pc.lower, lower), (pc.upper, upper)):
+    for got, want in zip(_ilu0_factors(pc._factored), (lower, upper)):
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
     # The solve's arguments are the CSC forms of L and of U D^-1 off its diagonal.
@@ -489,7 +495,7 @@ def _updates(plan):
 
 
 def _assert_same_factors(pc, other):
-    for got, want in ((pc.lower, other.lower), (pc.upper, other.upper)):
+    for got, want in zip(_ilu0_factors(pc._factored), _ilu0_factors(other._factored)):
         for attr in ("indptr", "indices", "data"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
     assert pc.shifted == other.shifted
