@@ -116,6 +116,7 @@ class BlockTangent:
         if self.A.shape != (len(self.w), self.n_v):
             raise ValueError(f"outlet rows have shape {self.A.shape}, expected "
                              f"{(len(self.w), self.n_v)}")
+        self._a_diagonal = None
 
     @property
     def n(self) -> int:
@@ -142,8 +143,16 @@ class BlockTangent:
         return np.concatenate([r_v, r_p])
 
     def a_diagonal(self) -> np.ndarray:
-        """Diagonal of the velocity block, outlet terms ``w_k a_k,i^2`` included."""
-        return self.F.diagonal() + (self.w[:, None] * self.A * self.A).sum(axis=0)
+        """Diagonal of the velocity block, outlet terms ``w_k a_k,i^2`` included.
+
+        Computed on the first call; every later call returns the same
+        read-only array, so the preconditioners that read it share one.
+        """
+        if self._a_diagonal is None:
+            diag = self.F.diagonal() + (self.w[:, None] * self.A * self.A).sum(axis=0)
+            diag.flags.writeable = False
+            self._a_diagonal = diag
+        return self._a_diagonal
 
     def dense(self) -> np.ndarray:
         """Densified full block matrix (tests and small oracles only)."""

@@ -1,11 +1,14 @@
 """Restarted GMRES, flexible GMRES and simple preconditioners.
 
 Solvers operate on operator-apply callbacks so they can run matrix-free.
-Left-preconditioned GMRES monitors the preconditioned residual against
-``rtol * ||P^-1 b||``; flexible GMRES uses right preconditioning and
-checks the true residual against ``rtol * ||b||``.  Both return the best
-iterate found together with solve statistics and never modify the
-caller's initial guess.
+Both run one restart loop around one Arnoldi cycle and differ only in
+what they hand it.  Left-preconditioned GMRES monitors the
+preconditioned residual against ``rtol * ||P^-1 b||``; flexible GMRES
+uses right preconditioning and checks the true residual against
+``rtol * ||b||``.  Both return the best iterate by the residual they
+monitor, recomputed after each restart, flag a full cycle that ends no
+lower than it started as stagnation, and never modify the caller's
+initial guess.
 """
 
 from __future__ import annotations
@@ -63,12 +66,6 @@ def _as_operator(obj):
     if callable(obj):
         return obj
     return lambda x: obj @ x
-
-
-def _zero_solution(b):
-    """Exact answer for a zero reference: ``x = 0``, converged, no iterations."""
-    return np.zeros_like(b), SolveStats(converged=True, residual_norm=0.0,
-                                        relative_residual=0.0)
 
 
 def _gmres_cycle(apply_op, r, target, m, apply_p=None):
@@ -138,86 +135,42 @@ def _gmres_cycle(apply_op, r, target, m, apply_p=None):
     return Z[:k].T @ y, history, bool(h_last == 0.0)
 
 
-def gmres(apply_a, b, settings: SolverSettings, x0=None, preconditioner=None):
-    """Restarted GMRES with optional left preconditioning.
+def _restarted(residual, apply_op, r0, settings: SolverSettings, x0, apply_p=None):
+    """The restart loop that every Krylov level runs.
 
-    Solves ``P^-1 A x = P^-1 b``; convergence is declared when the
-    preconditioned residual drops below ``max(rtol ||P^-1 b||, atol)``.
-    A breakdown ends the solve.
+    ``residual(x)`` is the monitored residual of an iterate, ``r0`` its
+    value at ``x = 0`` and the reference, and ``apply_op`` the operator
+    of the cycle; ``apply_p`` is a right preconditioner, passed to the
+    cycle.  Convergence is declared when ``||residual(x)||`` drops below
+    ``max(rtol ||r0||, atol)``.  After each restart the last history
+    entry is the recomputed residual, not the cycle's estimate.  The
+    best iterate by that residual is returned: under an inexact operator
+    a cycle can end above where it started, which a full cycle reports
+    as stagnation without stopping the solve.  A breakdown ends it.
     """
-    apply_a = _as_operator(apply_a)
-    apply_p = _as_operator(preconditioner) if preconditioner is not None else None
-    b = np.asarray(b, dtype=float)
-    x = np.array(x0, dtype=float, copy=True) if x0 is not None else np.zeros_like(b)
-
-    def prec(vec):
-        return apply_p(vec) if apply_p is not None else vec
-
-    ref = np.linalg.norm(prec(b))
-    if ref == 0.0:
-        return _zero_solution(b)
+    ref = np.linalg.norm(r0)
+    if ref == 0.0:  # the exact answer, x = 0
+        return np.zeros_like(r0), SolveStats(converged=True, residual_norm=0.0,
+                                             relative_residual=0.0)
     stats = SolveStats(reference=ref)
     target = max(settings.rtol * ref, settings.atol)
-    z = prec(b - apply_a(x)) if np.any(x) else prec(b)
-    rnorm = np.linalg.norm(z)
-    stats.history.append(rnorm)
-    while rnorm > target and stats.iterations < settings.max_iters:
-        dx, hist, stats.breakdown = _gmres_cycle(
-            lambda vec: prec(apply_a(vec)),
-            z,
-            target,
-            min(settings.restart, settings.max_iters - stats.iterations),
-        )
-        x = x + dx
-        stats.iterations += len(hist)
-        stats.history.extend(hist)
-        z = prec(b - apply_a(x))
-        rnorm = np.linalg.norm(z)
-        if stats.breakdown:
-            break
-    stats.history[-1] = rnorm
-    stats.residual_norm = rnorm
-    stats.relative_residual = rnorm / ref
-    stats.converged = bool(rnorm <= target)
-    return x, stats
-
-
-def fgmres(apply_a, apply_p, b, settings: SolverSettings, x0=None):
-    """Flexible GMRES with right preconditioning.
-
-    ``apply_p`` may change between iterations (it is typically an inexact
-    inner solve).  Both the Krylov basis and the preconditioned vectors
-    are stored; convergence is checked on the true residual against
-    ``max(rtol ||b||, atol)``.  Stagnation over a full restart cycle is
-    reported in the stats but is not fatal; a breakdown ends the solve.
-    """
-    apply_a = _as_operator(apply_a)
-    apply_p = _as_operator(apply_p)
-    b = np.asarray(b, dtype=float)
-    x = np.array(x0, dtype=float, copy=True) if x0 is not None else np.zeros_like(b)
-
-    ref = np.linalg.norm(b)
-    if ref == 0.0:
-        return _zero_solution(b)
-    stats = SolveStats(reference=ref)
-    target = max(settings.rtol * ref, settings.atol)
-
-    r = b - apply_a(x) if np.any(x) else b.copy()
+    x = np.array(x0, dtype=float, copy=True) if x0 is not None else np.zeros_like(r0)
+    r = residual(x) if np.any(x) else r0
     rnorm = np.linalg.norm(r)
     stats.history.append(rnorm)
-    best_x, best_norm = x.copy(), rnorm
+    best_x, best_norm = x, rnorm
     while rnorm > target and stats.iterations < settings.max_iters:
         cycle_start = rnorm
         m = min(settings.restart, settings.max_iters - stats.iterations)
-        dx, hist, stats.breakdown = _gmres_cycle(apply_a, r, target, m, apply_p)
+        dx, hist, stats.breakdown = _gmres_cycle(apply_op, r, target, m, apply_p)
         x = x + dx
         stats.iterations += len(hist)
         stats.history.extend(hist)
-        r = b - apply_a(x)
+        r = residual(x)
         rnorm = np.linalg.norm(r)
         stats.history[-1] = rnorm
         if rnorm < best_norm:
-            best_norm, best_x = rnorm, x.copy()
+            best_x, best_norm = x, rnorm
         if rnorm >= cycle_start and len(hist) == m:
             stats.stagnated = True
         if stats.breakdown:
@@ -226,6 +179,35 @@ def fgmres(apply_a, apply_p, b, settings: SolverSettings, x0=None):
     stats.relative_residual = best_norm / ref
     stats.converged = bool(best_norm <= target)
     return best_x, stats
+
+
+def gmres(apply_a, b, settings: SolverSettings, x0=None, preconditioner=None):
+    """Restarted GMRES with optional left preconditioning.
+
+    Solves ``P^-1 A x = P^-1 b`` and stops on the preconditioned residual
+    ``||P^-1 (b - A x)||`` against ``max(rtol ||P^-1 b||, atol)``.
+    """
+    apply_a = _as_operator(apply_a)
+    b = np.asarray(b, dtype=float)
+    if preconditioner is None:
+        return _restarted(lambda x: b - apply_a(x), apply_a, b, settings, x0)
+    apply_p = _as_operator(preconditioner)
+    return _restarted(lambda x: apply_p(b - apply_a(x)), lambda v: apply_p(apply_a(v)),
+                      apply_p(b), settings, x0)
+
+
+def fgmres(apply_a, apply_p, b, settings: SolverSettings, x0=None):
+    """Flexible GMRES with right preconditioning (Saad 1993).
+
+    ``apply_p`` may change between iterations (it is typically an inexact
+    inner solve).  Both the Krylov basis and the preconditioned vectors
+    are stored; convergence is checked on the true residual against
+    ``max(rtol ||b||, atol)``.
+    """
+    apply_a = _as_operator(apply_a)
+    b = np.asarray(b, dtype=float)
+    return _restarted(lambda x: b - apply_a(x), apply_a, b, settings, x0,
+                      _as_operator(apply_p))
 
 
 class JacobiPreconditioner:

@@ -142,7 +142,8 @@ class SchurContext:
 
     ``pc_a`` and ``pc_s`` come from ``_PC_A`` and ``_PC_S``.  The sparse
     Schur approximation ``s_hat`` is built once, on first read: by the
-    ilu0 or jacobi ``pc_s``, or by the two-level preconditioners.
+    ilu0 or jacobi ``pc_s``, or by the two-level preconditioners.  Every
+    sub-solve runs through ``solve_a`` or ``solve_s``, which record it.
     ``apply(x_p)`` returns ``D x_p - C A^-1 (B x_p)`` where the inverse is
     an inner GMRES solve at the inner tolerance with the shared ``P_A``.
     Inner solves always start from zero for reproducibility; failures are
@@ -163,13 +164,24 @@ class SchurContext:
         """The sparse Schur approximation, built on first read."""
         return schur_sparse_approx(self.tangent)
 
+    def solve_a(self, rhs, label, inner=False):
+        """GMRES on the velocity block with ``P_A``: an intermediate solve,
+        or an inner one at the inner tolerance; recorded under ``label``."""
+        settings = self.inner_settings if inner else self.settings.a_solve
+        y, st = gmres(self.tangent.apply_velocity_block, rhs, settings,
+                      preconditioner=self.pc_a)
+        self.stats.record(label, st, inner)
+        return y
+
+    def solve_s(self, op, rhs, label):
+        """GMRES on the Schur operator ``op`` with ``P_S``; recorded under ``label``."""
+        y, st = gmres(op, rhs, self.settings.s_solve, preconditioner=self.pc_s)
+        self.stats.record(label, st)
+        return y
+
     def apply(self, x_p):
         t = self.tangent
-        bx = t.B @ x_p
-        tilde, st = gmres(t.apply_velocity_block, bx, self.inner_settings,
-                          preconditioner=self.pc_a)
-        self.stats.record("inner A solve", st, inner=True)
-        return t.D @ x_p - t.C @ tilde
+        return t.D @ x_p - t.C @ self.solve_a(t.B @ x_p, "inner A solve", inner=True)
 
     __call__ = apply
 
@@ -190,17 +202,10 @@ class SCRPreconditioner(_BlockPreconditioner):
     def apply(self, s):
         t, ctx = self.tangent, self.context
         s = np.asarray(s, dtype=float)
-        s_v, s_p = s[: t.n_v].copy(), s[t.n_v:].copy()
-        y_hat, st = gmres(t.apply_velocity_block, s_v, self.settings.a_solve,
-                          preconditioner=ctx.pc_a)
-        self.stats.record("intermediate A solve (1)", st)
-        s_p -= t.C @ y_hat
-        y_p, st = gmres(ctx.apply, s_p, self.settings.s_solve, preconditioner=ctx.pc_s)
-        self.stats.record("Schur solve", st)
-        s_v = s_v - t.B @ y_p
-        y_v, st = gmres(t.apply_velocity_block, s_v, self.settings.a_solve,
-                        preconditioner=ctx.pc_a)
-        self.stats.record("intermediate A solve (2)", st)
+        s_v, s_p = s[: t.n_v], s[t.n_v:]
+        y_hat = ctx.solve_a(s_v, "intermediate A solve (1)")
+        y_p = ctx.solve_s(ctx.apply, s_p - t.C @ y_hat, "Schur solve")
+        y_v = ctx.solve_a(s_v - t.B @ y_p, "intermediate A solve (2)")
         return np.concatenate([y_v, y_p])
 
     __call__ = apply
@@ -221,13 +226,8 @@ class SIMPLEPreconditioner(_BlockPreconditioner):
     def apply(self, s):
         t, ctx = self.tangent, self.context
         s = np.asarray(s, dtype=float)
-        s_v, s_p = s[: t.n_v].copy(), s[t.n_v:].copy()
-        y_hat, st = gmres(t.apply_velocity_block, s_v, self.settings.a_solve,
-                          preconditioner=ctx.pc_a)
-        self.stats.record("intermediate A solve", st)
-        s_p -= t.C @ y_hat
-        y_p, st = gmres(ctx.s_hat, s_p, self.settings.s_solve, preconditioner=ctx.pc_s)
-        self.stats.record("sparse Schur solve", st)
+        y_hat = ctx.solve_a(s[: t.n_v], "intermediate A solve")
+        y_p = ctx.solve_s(ctx.s_hat, s[t.n_v:] - t.C @ y_hat, "sparse Schur solve")
         y_v = y_hat - self.inv_diag_a * (t.B @ y_p)
         return np.concatenate([y_v, y_p])
 
@@ -240,11 +240,8 @@ class BlockDiagPreconditioner(_BlockPreconditioner):
     def apply(self, s):
         t, ctx = self.tangent, self.context
         s = np.asarray(s, dtype=float)
-        y_v, st = gmres(t.apply_velocity_block, s[: t.n_v], self.settings.a_solve,
-                        preconditioner=ctx.pc_a)
-        self.stats.record("A solve", st)
-        y_p, st = gmres(ctx.s_hat, s[t.n_v:], self.settings.s_solve, preconditioner=ctx.pc_s)
-        self.stats.record("sparse Schur solve", st)
+        y_v = ctx.solve_a(s[: t.n_v], "A solve")
+        y_p = ctx.solve_s(ctx.s_hat, s[t.n_v:], "sparse Schur solve")
         return np.concatenate([y_v, y_p])
 
     __call__ = apply

@@ -158,8 +158,10 @@ def test_ilu0_matches_reference_on_fixture(tube_blocks, block):
 @pytest.mark.parametrize("name", ["scr", "simple", "block_diag"])
 def test_setup_builds_each_part_once(monkeypatch, name, pc_a, pc_s):
     # One build and one apply.  The sparse Schur approximation is built once
-    # if the Schur preconditioner or a two-level variant reads it, else never.
+    # if the Schur preconditioner or a two-level variant reads it, else never;
+    # diag(A) once if it, the jacobi P_A or SIMPLE's update reads it.
     calls = {"schur_sparse_approx": 0, "ILU0Preconditioner": 0}
+    diagonals = {}  # the distinct arrays that a_diagonal hands out, by id
 
     def counted(fn):
         def wrapper(*args):
@@ -167,14 +169,24 @@ def test_setup_builds_each_part_once(monkeypatch, name, pc_a, pc_s):
             return fn(*args)
         return wrapper
 
+    def distinct(fn):
+        def wrapper(tangent):
+            diag = fn(tangent)
+            return diagonals.setdefault(id(diag), diag)
+        return wrapper
+
     monkeypatch.setattr(precond, "schur_sparse_approx", counted(schur_sparse_approx))
     monkeypatch.setattr(precond, "ILU0Preconditioner", counted(ILU0Preconditioner))
+    monkeypatch.setattr(BlockTangent, "a_diagonal", distinct(BlockTangent.a_diagonal))
     t = _synthetic_tangent()
     pc = build_preconditioner(name, t, replace(TIGHT, pc_a=pc_a, pc_s=pc_s))
     pc.apply(np.ones(t.n))
+    calls["a_diagonal"] = len(diagonals)
+    sparse = int(name != "scr" or pc_s in ("ilu0", "jacobi"))
     assert calls == {
-        "schur_sparse_approx": int(name != "scr" or pc_s in ("ilu0", "jacobi")),
+        "schur_sparse_approx": sparse,
         "ILU0Preconditioner": (pc_a == "ilu0") + (pc_s in ("ilu0", "bipn")),
+        "a_diagonal": int(sparse or pc_a == "jacobi"),
     }
     assert pc.stats is pc.context.stats
     assert (pc.context.pc_s is None) == (pc_s == "none")
