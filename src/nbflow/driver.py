@@ -34,10 +34,9 @@ from .timestep import (
     OutletState,
     PressurePin,
     advance_step,
-    apply_dirichlet,
+    first_iterate,
     genalpha_params,
     newton_residual,
-    predictor,
 )
 from .vtkio import export_vtk
 from .lumped import tangent_m
@@ -218,8 +217,8 @@ def run_simulation(config: SimulationConfig, output_dir=None, deterministic=Fals
                 t,
                 report.iterations,
                 report.converged,
-                report.residual_norms[0] if report.residual_norms else 0.0,
-                report.residual_norms[-1] if report.residual_norms else 0.0,
+                report.residual_norms[0],
+                report.residual_norms[-1],
                 sum(s["outer_iterations"] for s in report.linear_solves),
                 sum(s["inner_iterations"] for s in report.linear_solves),
                 0.0 if deterministic else report.assembly_time,
@@ -357,54 +356,39 @@ def manufactured_solution_study(config: SimulationConfig, output_dir=None) -> di
     solution = SOLUTIONS[name](config.density, config.viscosity)
     out_dir = output_dir or config.output.directory
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    if mms.mode == "temporal":
-        # The shear flow leaves through an exact traction outlet at z = 1.
+    temporal = mms.mode == "temporal"
+    if temporal:
+        # One mesh for the dt sweep; the shear flow leaves through an
+        # exact traction outlet at z = 1.
         tags = {"zmax": ("outlet", "outlet")} if name == "shear" else None
         mesh = box_mesh(mms.box_n, mms.box_n, mms.box_n, face_tags=tags)
         system = build_mms_system(solution, mesh)
-        errors_v, errors_p, steps = [], [], []
-        for n in mms.step_counts:
-            ev, ep = mms_march(solution, mesh, system, n, mms.final_time)
-            errors_v.append(ev)
-            errors_p.append(ep)
-            steps.append(mms.final_time / n)
-            rows.append([n, mms.final_time / n, ev, ep])
-        result = {
-            "mode": "temporal",
-            "steps": steps,
-            "errors_v": errors_v,
-            "errors_p": errors_p,
-            "orders_v": observed_orders(errors_v) if min(errors_v) > 0 else [],
-            "orders_p": observed_orders(errors_p) if min(errors_p) > 0 else [],
-        }
-        if min(errors_v) > 0 and min(errors_p) > 0:
-            result["fitted_order_v"] = fitted_order(steps, errors_v)
-            result["fitted_order_p"] = fitted_order(steps, errors_p)
-        header = ["n_steps", "dt", "error_velocity", "error_pressure"]
-    else:  # spatial
-        errors_v, errors_p, sizes = [], [], []
-        for n in mms.mesh_sizes:
+    rows = []
+    for n in mms.step_counts if temporal else mms.mesh_sizes:
+        if temporal:
+            width, n_steps, final_time = mms.final_time / n, n, mms.final_time
+        else:
             mesh = box_mesh(n, n, n)
             system = build_mms_system(solution, mesh)
-            ev, ep = mms_march(
-                solution, mesh, system, mms.steady_steps,
-                mms.steady_steps * mms.steady_dt,
-            )
-            errors_v.append(ev)
-            errors_p.append(ep)
-            sizes.append(1.0 / n)
-            rows.append([n, 1.0 / n, ev, ep])
-        result = {
-            "mode": "spatial",
-            "sizes": sizes,
-            "errors_v": errors_v,
-            "errors_p": errors_p,
-            "orders_v": observed_orders(errors_v),
-            "orders_p": observed_orders(errors_p),
-            "fitted_order_v": fitted_order(sizes, errors_v),
-        }
-        header = ["n_cells", "h", "error_velocity", "error_pressure"]
+            width, n_steps = 1.0 / n, mms.steady_steps
+            final_time = mms.steady_steps * mms.steady_dt
+        rows.append([n, width, *mms_march(solution, mesh, system, n_steps, final_time)])
+    _, widths, errors_v, errors_p = (list(column) for column in zip(*rows))
+    positive = min(errors_v) > 0 and min(errors_p) > 0
+    result = {
+        "mode": mms.mode,
+        "steps" if temporal else "sizes": widths,
+        "errors_v": errors_v,
+        "errors_p": errors_p,
+        "orders_v": observed_orders(errors_v) if min(errors_v) > 0 else [],
+        "orders_p": observed_orders(errors_p) if min(errors_p) > 0 else [],
+    }
+    if positive:
+        result["fitted_order_v"] = fitted_order(widths, errors_v)
+    if positive and temporal:  # a spatial study reports no pressure order
+        result["fitted_order_p"] = fitted_order(widths, errors_p)
+    header = (["n_steps", "dt"] if temporal else ["n_cells", "h"]) + [
+        "error_velocity", "error_pressure"]
     csv_path = os.path.join(out_dir, f"mms_{mms.mode}.csv")
     _write_csv(csv_path, header, rows)
     result["csv"] = csv_path
@@ -424,9 +408,7 @@ def _fingerprint(*arrays) -> str:
 def freeze_newton_system(system: FlowSystem, state: FlowState, t, dt):
     """Tangent and right-hand side of the first Newton iterate of a step."""
     ga = system.genalpha
-    v_l, vdot_l = predictor(state.v, state.vdot, ga.gamma)
-    p_l, pdot_l = predictor(state.p, state.pdot, ga.gamma)
-    apply_dirichlet(system, state, v_l, vdot_l, p_l, pdot_l, t + dt, dt)
+    v_l, vdot_l, p_l, _ = first_iterate(system, state, t, dt)
     r, _, stages = newton_residual(system, state, t, dt, v_l, vdot_l, p_l)
     m_coef = tangent_m(system.models.values(), dt, system.n_ts_0d)
     tangent = system.assembler.tangent(*stages, m_coef, dt, ga, time=t + ga.alpha_f * dt)
@@ -439,8 +421,9 @@ def benchmark_preconditioners(config: SimulationConfig, output_dir=None,
 
     Every case solves the identical system (fingerprints in the CSV
     headers prove it); results report iteration counts, wall time and a
-    converged/NC flag.  Each resistance value draws its inflow
-    perturbation from a fresh generator seeded with ``seed``.
+    converged/NC flag.  Each resistance value starts from the configured
+    ``initial_pi`` and draws its inflow perturbation from a fresh
+    generator seeded with ``seed``.
     """
     out_dir = output_dir or config.output.directory
     os.makedirs(out_dir, exist_ok=True)
@@ -454,7 +437,7 @@ def benchmark_preconditioners(config: SimulationConfig, output_dir=None,
         run_config = config if r_value is None else with_resistance(config, r_value)
         mesh = build_mesh(run_config.mesh)
         system = build_system(run_config, mesh, np.random.default_rng(seed))
-        state = system.initial_state()
+        state = system.initial_state(run_config.initial_pi)
         t = 0.0
         for _ in range(bench.freeze_step):
             state, _ = advance_step(system, state, t, run_config.dt)

@@ -6,8 +6,9 @@ iterates, then repeats: evaluate outlet flow rates, advance the reduced
 models, build the intermediate-stage state, assemble the residual, test
 convergence, assemble the tangent, solve the block system
 for the acceleration increment with the configured outer solver and
-preconditioner, and apply the corrector update.  The outlet pass of the
-accepted iterate defines the reduced-model state at the new time level.
+preconditioner, and apply the corrector update.  The loop ends at a
+residual, a converged one or that of the last iterate the budget allows;
+its outlet pass defines the reduced-model state at the new time level.
 The k outlets travel as ``(k,)`` arrays in the order of ``assembler.outlets``.
 """
 
@@ -224,29 +225,33 @@ def _outlet_arrays(system: FlowSystem, state: FlowState) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), 3).T
 
 
-def outlet_evaluation(system: FlowSystem, state_n: FlowState, t, dt, v_iterate):
-    """End-of-step ``(pi, pressure, flow)`` of every outlet, each (k,), for
-    the flow rates of a velocity iterate: one pass of the reduced models."""
-    pi_n, _, q_n = _outlet_arrays(system, state_n)
-    q = np.array([surface_flow_rate(system.mesh, name, v_iterate) for name in system.models],
-                 dtype=float)
-    p, pi = advance_outlet(system.models.values(), pi_n, q_n, q, dt, system.n_ts_0d, t)
-    return pi, p, q
+def first_iterate(system: FlowSystem, state_n: FlowState, t, dt):
+    """First Newton iterate ``(v, vdot, p, pdot)`` of the step from t to
+    t + dt: the same-solution predictor with the Dirichlet values of t + dt."""
+    gamma = system.genalpha.gamma
+    v, vdot = predictor(state_n.v, state_n.vdot, gamma)
+    p, pdot = predictor(state_n.p, state_n.pdot, gamma)
+    apply_dirichlet(system, state_n, v, vdot, p, pdot, t + dt, dt)
+    return v, vdot, p, pdot
 
 
 def newton_residual(system: FlowSystem, state_n: FlowState, t, dt,
                     v_l, vdot_l, p_l):
     """Residual of one Newton iterate, restricted to the free dofs.
 
+    Makes one pass of the reduced models for the flow rates of ``v_l``.
     Returns ``(stacked_residual, (pi, pressure, flow), intermediate_states)``:
     the outlets' end-of-step values at this iterate, each (k,), and the
     intermediate-stage states the tangent is assembled at.
     """
     ga = system.genalpha
-    pi, p_new, q = outlet_evaluation(system, state_n, t, dt, v_l)
-    p_af = (1.0 - ga.alpha_f) * _outlet_arrays(system, state_n)[1] + ga.alpha_f * p_new
+    pi_n, p_n, q_n = _outlet_arrays(system, state_n)
+    q = np.array([surface_flow_rate(system.mesh, name, v_l) for name in system.models],
+                 dtype=float)
+    p_new, pi = advance_outlet(system.models.values(), pi_n, q_n, q, dt, system.n_ts_0d, t)
+    p_af = (1.0 - ga.alpha_f) * p_n + ga.alpha_f * p_new
     v_af, vdot_am = intermediate_state(state_n.v, state_n.vdot, v_l, vdot_l, ga)
-    p_afv, _ = intermediate_state(state_n.p, state_n.pdot, p_l, np.zeros_like(p_l), ga)
+    p_afv = state_n.p + ga.alpha_f * (p_l - state_n.p)
     res = system.assembler.residual(
         v_af, vdot_am, p_afv, p_af, dt, time=t + ga.alpha_f * dt
     )
@@ -257,32 +262,28 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
     """Advance the coupled problem from t to t + dt.
 
     Returns the state at the new time level and a report of the
-    nonlinear iteration; a step out of iterations is reported, not
+    nonlinear iteration, whose ``residual_norms`` end with the residual
+    of the returned state; a step out of iterations is reported, not
     raised.  Raises ``NewtonDivergenceError`` if the residual grows past
     ``DIVERGENCE_RATIO`` times the first one.
     """
     ga = system.genalpha
     newton = system.newton
     report = TimeStepReport()
-
-    v_l, vdot_l = predictor(state.v, state.vdot, ga.gamma)
-    p_l, pdot_l = predictor(state.p, state.pdot, ga.gamma)
-    apply_dirichlet(system, state, v_l, vdot_l, p_l, pdot_l, t + dt, dt)
-
+    v_l, vdot_l, p_l, pdot_l = first_iterate(system, state, t, dt)
     m_coef = tangent_m(system.models.values(), dt, system.n_ts_0d)
-    r0_norm = None
-    converged = False
-    for _ in range(newton.max_iters):
+    # One exit: every iterate, the returned one included, gets its
+    # residual and outlet pass before the loop may end.
+    while True:
         tic = _time.perf_counter()
         r, outlets, stages = newton_residual(
             system, state, t, dt, v_l, vdot_l, p_l
         )
         rnorm = float(np.linalg.norm(r))
         report.residual_norms.append(rnorm)
-        if r0_norm is None:
-            r0_norm = rnorm
-        if rnorm <= newton.tol_abs or rnorm <= newton.tol_rel * r0_norm:
-            converged = True
+        r0_norm = report.residual_norms[0]
+        report.converged = rnorm <= newton.tol_abs or rnorm <= newton.tol_rel * r0_norm
+        if report.converged or report.iterations == newton.max_iters:
             report.assembly_time += _time.perf_counter() - tic
             break
         if rnorm > DIVERGENCE_RATIO * max(r0_norm, newton.tol_abs):
@@ -327,12 +328,5 @@ def advance_step(system: FlowSystem, state: FlowState, t, dt):
         v_l, vdot_l = corrector_update(v_l, vdot_l, dv.reshape(n, 3), ga.gamma, dt)
         p_l, pdot_l = corrector_update(p_l, pdot_l, dp, ga.gamma, dt)
 
-    report.converged = converged
-
-    # The outlet pass of the accepted iterate defines the outlet state at
-    # the new time level; a step out of iterations takes one on its last.
-    if not converged:
-        outlets = outlet_evaluation(system, state, t, dt, v_l)
-    new_state = FlowState(v=v_l, p=p_l, vdot=vdot_l, pdot=pdot_l,
-                          outlets=_outlet_states(system, *outlets))
-    return new_state, report
+    return FlowState(v=v_l, p=p_l, vdot=vdot_l, pdot=pdot_l,
+                     outlets=_outlet_states(system, *outlets)), report

@@ -28,7 +28,7 @@ from nbflow.driver import (
     run_simulation,
 )
 from nbflow.lumped import Resistance, Windkessel
-from nbflow.meshing import MeshError, load_mesh
+from nbflow.meshing import MeshError, load_mesh, surface_flow_rate
 from nbflow.structured import box_mesh, tube_mesh
 from nbflow.vtkio import export_vtk, load_vtk_mesh, read_vtk
 
@@ -282,6 +282,44 @@ class TestConfig:
         system = build_system(cfg, mesh)
         groups = [bc.group for bc in system.velocity_bcs]
         assert groups == ["zmin"] + [name for name in mesh.facet_groups if name != "zmin"]
+
+    # A tube of n_r rings, n_theta sectors and n_z layers has
+    # (1 + n_r n_theta)(n_z + 1) nodes and 3 n_theta (2 n_r - 1) n_z tets.
+    @pytest.mark.parametrize("section, nodes, tets", [
+        ("builtin = box\nn = 2", 27, 48),
+        ("builtin = tube\nradius = 0.5\nlength = 2.0\nn_r = 2\nn_theta = 6\nn_z = 3", 52, 162),
+        ("builtin = cylinder\nn_r = 2\nn_theta = 8\nn_z = 6", 119, 432),
+        ("builtin = nozzle", 221, 864),
+        ("path = {path}", 27, 48),
+    ], ids=["box", "tube", "cylinder", "nozzle", "path"])
+    def test_mesh_source_builds_mesh_of_expected_size(self, tmp_path, section, nodes, tets):
+        path = tmp_path / "box.vtk"
+        export_vtk(path, box_mesh(2, 2, 2))
+        mesh = build_mesh(parse_config("[mesh]\n" + section.format(path=path) + "\n").mesh)
+        assert (mesh.n_nodes, mesh.n_tets) == (nodes, tets)
+
+    def test_unknown_builtin_mesh_rejected(self):
+        with pytest.raises(ValueError, match="unknown builtin mesh 'sphere'"):
+            build_mesh(parse_config("[mesh]\nbuiltin = sphere\n").mesh)
+
+    @pytest.mark.parametrize("inflow, flow_rate", [
+        ("waveform = 0:0 0.5:50 1.0:100",
+         lambda t: np.interp(t, [0.0, 0.5, 1.0], [0.0, 50.0, 100.0])),
+        ("flow_rate = 30", lambda t: 30.0),
+        ("flow_rate = 30\nramp_time = 0.5", lambda t: 30.0 * min(t / 0.5, 1.0)),
+    ], ids=["waveform", "constant", "ramp"])
+    def test_inflow_flux_follows_the_configured_flow_rate(self, inflow, flow_rate):
+        cfg = parse_config("[mesh]\nbuiltin = cylinder\nn_r = 1\nn_theta = 5\nn_z = 2\n"
+                           f"[inflow]\n{inflow}\n[outlet.outlet]\ntype = resistance\nR = 1\n")
+        mesh = build_mesh(cfg.mesh)
+        bc = build_system(cfg, mesh).velocity_bcs[0]
+        nodes = mesh.group("inlet").nodes
+        for t in (0.0, 0.2, 0.75, 2.0):
+            v = np.zeros((mesh.n_nodes, 3))
+            v[nodes] = bc.value(mesh.nodes[nodes], t)
+            # The normalized profile carries unit flow into the domain.
+            assert surface_flow_rate(mesh, "inlet", v) == pytest.approx(-flow_rate(t),
+                                                                        rel=1e-12, abs=1e-12)
 
     def test_readme_names_every_preconditioner_choice(self):
         with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
@@ -562,6 +600,20 @@ class TestBenchmark:
 
         assert rhs_print(seed=1) != rhs_print(seed=2)
         assert rhs_print(seed=0) == rhs_print()
+
+    def test_frozen_system_starts_from_initial_pi(self, tmp_path):
+        text = ("[mesh]\nbuiltin = tube\nn_r = 1\nn_theta = 5\nn_z = 4\n"
+                "[time]\ndt = 1e-3\n[inflow]\nflow_rate = 10\nramp_time = 0.01\n"
+                "[outlet.outlet]\ntype = rcr\nRp = 100\nC = 1e-4\nRd = 1233\n"
+                "initial_pi = {pi}\n[bench]\nfreeze_step = 2\nmax_iters = 5\n"
+                "[benchcase.diag]\npreconditioner = block_diag\n")
+
+        def rhs_print(pi):
+            outcome = benchmark_preconditioners(parse_config(text.format(pi=pi)),
+                                                output_dir=tmp_path / f"pi{pi}")
+            return outcome["results"]["diag"]["rhs_fingerprint"]
+
+        assert rhs_print(0.0) != rhs_print(500.0)
 
 
 class TestCli:

@@ -213,6 +213,7 @@ def test_nonconvergence_reported_when_tolerated():
     _, report = advance_step(system, state, 0.0, 3.15e-3)
     assert not report.converged
     assert report.iterations == 2
+    assert len(report.residual_norms) == 3  # the returned iterate's too
 
 
 def test_assembly_time_counts_every_residual(monkeypatch):
@@ -304,7 +305,7 @@ def test_converged_step_makes_one_outlet_pass_per_residual(monkeypatch):
     new, report = advance_step(system, state, t, dt)
     assert report.converged and report.iterations >= 1
     assert len(calls) == len(report.residual_norms)
-    pi, p, q = timestep.outlet_evaluation(system, state, t, dt, new.v)
+    _, (pi, p, q), _ = timestep.newton_residual(system, state, t, dt, new.v, new.vdot, new.p)
     assert new.outlets == {"outlet": OutletState(pi[0], p[0], q[0])}
 
 
@@ -315,9 +316,41 @@ def test_unconverged_step_makes_one_more_outlet_pass(monkeypatch):
     t, dt = 0.0, 3.15e-3
     state = system.initial_state()
     new, report = advance_step(system, state, t, dt)
-    assert not report.converged and len(report.residual_norms) == 1
-    assert len(calls) == 2
-    # The extra pass reads the final iterate, not the one of the residual.
-    pi, p, q = timestep.outlet_evaluation(system, state, t, dt, new.v)
+    assert not report.converged and report.iterations == 1
+    assert len(report.residual_norms) == 2 and len(calls) == 2
+    # The second pass reads the returned iterate, not the first one.
+    r, (pi, p, q), _ = timestep.newton_residual(system, state, t, dt, new.v, new.vdot, new.p)
     assert new.outlets == {"outlet": OutletState(pi[0], p[0], q[0])}
+    assert report.residual_norms[-1] == float(np.linalg.norm(r))
     assert calls[1][3][0] == q[0] != calls[0][3][0]
+
+
+def _diverging_system(monkeypatch, max_iters):
+    """Cylinder whose every corrector is a million times too long."""
+    real = timestep.fgmres
+
+    def scaled(*args):
+        x, stats = real(*args)
+        return 1.0e6 * x, stats
+
+    monkeypatch.setattr(timestep, "fgmres", scaled)
+    system = cylinder_system(n_r=2, n_theta=8, n_z=4)
+    system.newton = NewtonSettings(max_iters=max_iters)
+    return system
+
+
+def test_diverging_residual_raises(monkeypatch):
+    system = _diverging_system(monkeypatch, max_iters=3)
+    with pytest.raises(timestep.NewtonDivergenceError,
+                       match=r"exceeded 1\.0e\+04 times the initial residual"):
+        advance_step(system, system.initial_state(), 0.0, 3.15e-3)
+
+
+def test_step_out_of_iterations_reports_its_returned_state(monkeypatch):
+    # The budget runs out before the divergence test: the step returns
+    # the diverged iterate and reports that iterate's residual.
+    system = _diverging_system(monkeypatch, max_iters=1)
+    _, report = advance_step(system, system.initial_state(), 0.0, 3.15e-3)
+    assert not report.converged and report.iterations == 1
+    first, last = report.residual_norms
+    assert last > timestep.DIVERGENCE_RATIO * first
