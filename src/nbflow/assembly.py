@@ -33,7 +33,8 @@ from .quadrature import TET4_BARY, TRI3_BARY
 DEFAULT_C_T = 4.0
 DEFAULT_C_I = 36.0
 DEFAULT_BETA = 0.2
-# Elements per residual block: a block's quadrature state stays in cache.
+# Elements per residual and tangent block: the peak memory is one block's
+# quadrature state plus the full element arrays.
 _ELEMENT_BLOCK = 2048
 
 
@@ -249,18 +250,22 @@ class NavierStokesAssembler:
             "rM": rM,
         }
         if self.stabilization:
-            gu = u @ self.G[block]  # G is symmetric
-            quad = np.vecdot(u, gu)
-            quad += DEFAULT_C_T / dt**2
-            quad += DEFAULT_C_I * (self.mu / self.rho) ** 2 * self.GG[block, None]
-            tau_m = 1.0 / (self.rho * np.sqrt(quad))
-            s["gu"], s["tau_m"] = gu, tau_m
+            s["gu"], tau_m = self._tau_m(u, dt, block)
+            s["tau_m"] = tau_m
             s["tau_c"] = 1.0 / (tau_m * self.trG[block, None])
         else:
             s["gu"] = np.zeros_like(u)
             s["tau_m"] = np.zeros(u.shape[:2])
             s["tau_c"] = np.zeros(u.shape[:2])
         return s
+
+    def _tau_m(self, u, dt, block):
+        """``G u`` (E, q, i) and tau_M (E, q) at the quadrature velocities ``u``."""
+        gu = u @ self.G[block]  # G is symmetric
+        quad = np.vecdot(u, gu)
+        quad += DEFAULT_C_T / dt**2
+        quad += DEFAULT_C_I * (self.mu / self.rho) ** 2 * self.GG[block, None]
+        return gu, 1.0 / (self.rho * np.sqrt(quad))
 
     # -- residual -----------------------------------------------------
 
@@ -371,23 +376,35 @@ class NavierStokesAssembler:
 
     @cached_property
     def _scatter(self):
-        """Sparse patterns of the free-dof blocks F, B, C and D.
+        """Node-pair map and sparse patterns of the free-dof blocks F, B, C and D.
 
         Built on the first tangent, so an assembler that only evaluates
-        residuals never holds them.  F has two segments: the element
-        entries, then the backflow entries of every outlet triangle.
+        residuals never holds them.  The map sends each element node pair
+        (E x 16, in element order), then each backflow node pair (K x 9),
+        to its index among the distinct node pairs; B, C and D read its
+        element part.  Outlet triangles are element faces, so every
+        backflow pair is an element pair too.
         """
-        dm, conn, vdofs = self.dofmap, self.conn, self._vdofs
-        free_v = np.full(3 * self.n_nodes, -1, dtype=np.int64)
+        dm, conn, tris, n = self.dofmap, self.conn, self._bf_tris, self.n_nodes
+        keys = np.concatenate([(conn[:, :, None] * n + conn[:, None, :]).ravel(),
+                               (tris[:, :, None] * n + tris[:, None, :]).ravel()])
+        pairs, pos = np.unique(keys, return_inverse=True)
+        del keys
+        pair_rows, pair_cols = np.divmod(pairs, n)
+        free_v = np.full(3 * n, -1, dtype=np.int64)
         free_v[dm.free_v] = np.arange(dm.n_free_v)
-        free_p = np.full(self.n_nodes, -1, dtype=np.int64)
+        free_p = np.full(n, -1, dtype=np.int64)
         free_p[dm.free_p] = np.arange(dm.n_free_p)
-        backflow = _element_pairs(self._bf_dofs, self._bf_dofs)
+        # Free index per (node, component), -1 where constrained.
+        free_v, free_p = free_v.reshape(n, 3), free_p.reshape(n, 1)
+        # bincount would copy any other index type to intp on every call.
+        pos = pos.astype(np.intp, copy=False)
+        el_pos = pos[: 16 * len(conn)]
         return {
-            "F": _BlockScatter([_element_pairs(vdofs, vdofs), backflow], free_v, free_v),
-            "B": _BlockScatter([_element_pairs(vdofs, conn)], free_v, free_p),
-            "C": _BlockScatter([_element_pairs(conn, vdofs)], free_p, free_v),
-            "D": _BlockScatter([_element_pairs(conn, conn)], free_p, free_p),
+            "F": _PairScatter(pos, pair_rows, pair_cols, free_v, free_v),
+            "B": _PairScatter(el_pos, pair_rows, pair_cols, free_v, free_p),
+            "C": _PairScatter(el_pos, pair_rows, pair_cols, free_p, free_v),
+            "D": _PairScatter(el_pos, pair_rows, pair_cols, free_p, free_p),
         }
 
     def tangent(self, v, vdot, p, m_coeffs, dt, alpha, time=0.0) -> BlockTangent:
@@ -398,24 +415,84 @@ class NavierStokesAssembler:
         ``alpha_m``, ``alpha_f`` and ``gamma``.  Blocks are restricted to
         the free dofs.
 
-        The terms of F are grouped by index structure: one batched matmul
-        for the ``dtau_M`` and grad-div terms, one outer product for the
-        ``N_a,j (x) Y_bi`` terms (viscous ``N_b,i N_a,j`` included), one
-        coefficient each for ``gradv_ij`` and ``(gradv gradv)_ij``, and
-        one scalar kernel for every ``delta_ij`` term.  F, B, C and D keep
-        their structural pattern: every free entry that an element or a
+        The element kernels run over blocks of ``_ELEMENT_BLOCK`` elements
+        into one full array of element entries per block matrix, laid out
+        by component pair, then node pair.  Each component pair of a
+        block matrix is one ``bincount`` over the node-pair map, element
+        entries first and backflow entries after, so the tangent does not
+        depend on the block size, bit for bit.  F, B, C and D keep their
+        structural pattern: every free entry that an element or a
         backflow triangle touches is stored, zero sums included, so the
         patterns, and the ILU(0) pattern of F, are the same for every
         state.
         """
+        E, K = len(self.conn), len(self._bf_tris)
+        am, afgdt = alpha.alpha_m, alpha.alpha_f * alpha.gamma * dt
+        # ``w tau_M lam`` is one (E, 4) x (4, 4) product, not one per
+        # block: BLAS rounds a one-row product unlike a row of a larger one.
+        # A single block forms it in the kernel; several need tau_M first.
+        l_tau = self._weighted_tau(v, dt) @ TET4_BARY if E > _ELEMENT_BLOCK else None
+
+        for start in range(0, E, _ELEMENT_BLOCK):
+            block = slice(start, start + _ELEMENT_BLOCK)
+            f, b, c, d = self._volume_tangent(v, vdot, p, dt, time, block, am, afgdt,
+                                              None if l_tau is None else l_tau[block])
+            if not start:
+                # Allocated once the first block's temporaries are freed, so
+                # the full arrays reuse their pages, still mapped and cached.
+                f_all = np.empty((3, 3, 16 * E + 9 * K))
+                f_el = f_all[:, :, : 16 * E].reshape(3, 3, E, 4, 4)
+                b_el, c_el = np.empty((3, E, 4, 4)), np.empty((3, E, 4, 4))
+                d_el = np.empty((E, 4, 4))
+            f_el[:, :, block] = f.transpose(2, 4, 0, 1, 3)
+            b_el[:, block] = b.transpose(2, 0, 1, 3)
+            c_el[:, block] = c.transpose(3, 0, 1, 2)
+            d_el[block] = d
+        del f, b, c, d
+        f_all[:, :, 16 * E:].reshape(3, 3, K, 3, 3)[...] = \
+            self._backflow_tangent(v, afgdt).transpose(2, 4, 0, 1, 3)
+
+        scatter = self._scatter
+        F = scatter["F"].matrix(f_all)
+        del f_all
+        return BlockTangent(
+            F=F,
+            B=scatter["B"].matrix(b_el.reshape(3, 1, -1)),
+            C=scatter["C"].matrix(c_el.reshape(1, 3, -1)),
+            D=scatter["D"].matrix(d_el.reshape(1, 1, -1)),
+            w=afgdt * np.asarray(m_coeffs, dtype=float),
+            A=self.outlet_weights[:, self.dofmap.free_v],
+        )
+
+    def _weighted_tau(self, v, dt):
+        """``w tau_M`` (E, q) over all elements, tau_M computed block by block."""
+        wt = np.zeros((len(self.conn), len(TET4_BARY)))
+        if self.stabilization:
+            for start in range(0, len(self.conn), _ELEMENT_BLOCK):
+                block = slice(start, start + _ELEMENT_BLOCK)
+                u = TET4_BARY @ v[self.conn[block]]
+                wt[block] = self.w[block, None] * self._tau_m(u, dt, block)[1]
+        return wt
+
+    def _volume_tangent(self, v, vdot, p, dt, time, block, am, afgdt, l_tau):
+        """Element entries of F (E, a, i, b, j), B (E, a, i, b), C (E, a, b, j)
+        and D (E, a, b) of ``block``; ``l_tau`` (E, a) is the block's
+        ``w tau_M lam``, formed here when None because the block holds
+        every element.
+
+        The terms of F are grouped by index structure: one batched matmul
+        for the ``dtau_M`` and grad-div terms, one outer product for the
+        ``N_a,j (x) Y_bi`` terms (viscous ``N_b,i N_a,j`` included), one
+        coefficient each for ``gradv_ij`` and ``(gradv gradv)_ij``, and
+        one scalar kernel for every ``delta_ij`` term.
+        """
         # Matmuls run faster on contiguous operands than on transposed
         # views, so lam^T, dN^T and gradv^T are copied once.
         lam, lamT = TET4_BARY, TET4_BARY.T.copy()
-        s = self._volume_state(v, vdot, p, dt, time)
-        w, dN, rho, mu = self.w, self.dN, self.rho, self.mu
+        s = self._volume_state(v, vdot, p, dt, time, block)
+        w, dN, vol, rho, mu = self.w[block], self.dN[block], self.vol[block], self.rho, self.mu
         tau, rM, gradv = s["tau_m"], s["rM"], s["gradv"]
-        E = len(self.conn)
-        am, afgdt = alpha.alpha_m, alpha.alpha_f * alpha.gamma * dt
+        E = len(w)
         # Velocity derivatives of tau through the v.Gv term.
         dtau_m = -(rho**2) * tau[..., None] ** 3 * s["gu"]
         dtau_c = rho**2 * (tau**2 * s["tau_c"])[..., None] * s["gu"]
@@ -449,15 +526,17 @@ class NavierStokesAssembler:
         f_el = np.concatenate([x_dt.reshape(E, 12, 4), dN.reshape(E, 12, 1)], axis=2) \
             @ np.concatenate([y_dt, z.reshape(E, 1, 12)], axis=1)
         f_el = f_el.reshape(E, 4, 3, 4, 3)
+        del x_dt, z
         # N_a,j (x) Y1_bi, the viscous N_b,i N_a,j included, and
         # (gradv^T dN_a)_j (x) Y2_bi.
         y1 = afgdt * rho * wt[..., None] * lam - rho**2 * wt2[..., None] * g
         y1 = y1.transpose(0, 2, 1) @ rM
-        y1 += (afgdt * mu * self.vol)[:, None, None] * dN
+        y1 += (afgdt * mu * vol)[:, None, None] * dN
         y2 = (-afgdt * rho**2) * (wt2[..., None] * lam).transpose(0, 2, 1) @ rM
         outer = np.stack([dN, gtdn], axis=3).reshape(E, 12, 2) \
             @ np.stack([y1, y2], axis=1).reshape(E, 2, 12)
         f_el += outer.reshape(E, 4, 3, 4, 3).transpose(0, 1, 4, 3, 2)
+        del y1, y2, outer
         # gradv_ij and (gradv gradv)_ij.
         t_g = (afgdt * rho**2) * (tk.transpose(0, 2, 1) @ lam) + afgdt * rho * nn
         t_g -= rho**2 * (lamT @ (wt[..., None] * g))
@@ -467,12 +546,13 @@ class NavierStokesAssembler:
         f_el += (coef @ kron).reshape(E, 4, 4, 3, 3).transpose(0, 1, 3, 2, 4)
         # delta_ij.
         scalar = rho**2 * (tk.transpose(0, 2, 1) @ g) + (afgdt * rho) * (lamT @ k)
-        scalar += am * rho * nn + (afgdt * mu * self.vol)[:, None, None] * dndn
+        scalar += am * rho * nn + (afgdt * mu * vol)[:, None, None] * dndn
         for i in range(3):
             f_el[:, :, i, :, i] += scalar
 
         # B: momentum rows, pressure columns, (E, a, i, b).
-        l_tau = wt @ lam  # (E, a)
+        if l_tau is None:
+            l_tau = wt @ lam
         b_el = -(wq * dN)[..., None] * lam.sum(axis=0)
         b_el += rho * tk.sum(axis=1)[:, :, None, None] * dNt[:, None]
         gdn = gradv @ dNt  # gradv dN_b, (E, i, b)
@@ -487,16 +567,7 @@ class NavierStokesAssembler:
         c_el += ((afgdt * wq) * (rdn.transpose(0, 2, 1) @ y_dt)).reshape(E, 4, 4, 3)
 
         d_el = (afgdt * wt.sum(axis=1))[:, None, None] * dndn
-
-        scatter = self._scatter
-        return BlockTangent(
-            F=scatter["F"].matrix(f_el, self._backflow_tangent(v, afgdt)),
-            B=scatter["B"].matrix(b_el),
-            C=scatter["C"].matrix(c_el.reshape(E, 4, 12)),
-            D=scatter["D"].matrix(d_el),
-            w=afgdt * np.asarray(m_coeffs, dtype=float),
-            A=self.outlet_weights[:, self.dofmap.free_v],
-        )
+        return f_el, b_el, c_el, d_el
 
     def _backflow_tangent(self, v, afgdt):
         """Backflow entries of F, (K, a, i, b, j) over all outlet triangles."""
@@ -511,33 +582,33 @@ class NavierStokesAssembler:
         return k_el
 
 
-def _element_pairs(row_dofs, col_dofs):
-    """Row and column dofs of the entries of (K, m, n) element blocks."""
-    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
-    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
-    return rows, cols
+class _PairScatter:
+    """Fixed CSR pattern of one free-dof block, summed over node pairs.
 
+    ``pos`` sends each element entry to its node pair.  Entry ``(i, j)``
+    of node pair ``(r, c)`` sits in row dof ``(r, i)`` and column dof
+    ``(c, j)``.  ``row_free`` (nodes, m) and ``col_free`` (nodes, n) give
+    the free index of each dof, -1 for constrained ones, where m and n
+    count the components of the row and column unknowns (3 for velocity,
+    1 for pressure).  Entries in a constrained row or column are dropped,
+    component by component.
 
-class _BlockScatter:
-    """Fixed CSR pattern of one free-dof block, summed from element entries.
-
-    ``segments`` lists ``(rows, cols)``: the global dofs of the entries of
-    each segment in the order its kernel lays them out.  ``row_free`` and
-    ``col_free`` map global dofs to free indices, -1 for constrained
-    ones; entries in a constrained row or column are dropped.
-
-    The pattern is structural: it holds every free ``(row, col)`` pair of
-    every segment, whatever the entry values sum to, so one pattern
-    serves every state.  Duplicates are summed in entry order.
+    The pattern is structural: it holds every free entry of every node
+    pair, whatever the entry values sum to, so one pattern serves every
+    state.  ``perm`` lists the kept entries of the (m, n, pairs) sums in
+    CSR order.
     """
 
-    def __init__(self, segments, row_free, col_free):
+    def __init__(self, pos, pair_rows, pair_cols, row_free, col_free):
         n_rows, n_cols = int(row_free.max()) + 1, int(col_free.max()) + 1
-        rows = row_free[np.concatenate([r for r, _ in segments])]
-        cols = col_free[np.concatenate([c for _, c in segments])]
-        self.take = np.flatnonzero((rows >= 0) & (cols >= 0))
-        key, self.pos = np.unique(rows[self.take] * n_cols + cols[self.take],
-                                  return_inverse=True)
+        self.pos, self.n_pairs = pos, len(pair_rows)
+        rows = row_free[pair_rows].T[:, None, :]  # (m, 1, pairs)
+        cols = col_free[pair_cols].T[None, :, :]  # (1, n, pairs)
+        keep = (rows >= 0) & (cols >= 0)
+        key = (rows * n_cols + cols)[keep]
+        order = np.argsort(key)
+        self.perm = np.flatnonzero(keep)[order]
+        key = key[order]
         self.nnz = len(key)
         indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols)
         template = sp.csr_matrix(
@@ -545,10 +616,12 @@ class _BlockScatter:
         )
         self.indices, self.indptr, self.shape = template.indices, template.indptr, template.shape
 
-    def matrix(self, *values) -> sp.csr_matrix:
-        """CSR block from the element entries of each segment."""
-        vals = np.concatenate([v.ravel() for v in values])[self.take]
-        data = np.bincount(self.pos, weights=vals, minlength=self.nnz)
+    def matrix(self, values) -> sp.csr_matrix:
+        """CSR block from the (m, n, entries) element entries, laid out as
+        ``pos``; each node pair sums its entries in entry order."""
+        sums = np.empty(values.shape[:2] + (self.n_pairs,))
+        for i, j in np.ndindex(values.shape[:2]):
+            sums[i, j] = np.bincount(self.pos, weights=values[i, j], minlength=self.n_pairs)
         return sp.csr_matrix(
-            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
+            (sums.ravel()[self.perm], self.indices.copy(), self.indptr.copy()), shape=self.shape
         )

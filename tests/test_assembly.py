@@ -545,9 +545,18 @@ def _backflow_tangent_reference(asm, v, afgdt):
 
 def _tube_tangent_case(case):
     """Assembler on the tube fixture and tangent arguments for ``case``:
-    a fluid at rest (``zero``) or a seeded flowing state (the others)."""
+    a fluid at rest (``zero``) or a seeded flowing state (the others).
+
+    The wall nodes are constrained; so are the inlet nodes, except in
+    ``partial``, which constrains only their x component.
+    """
     mesh = tube_mesh(1.0, 3.0, n_r=2, n_theta=6, n_z=4)
-    dofmap = DofMap.from_mesh(mesh, ["inlet", "wall"])
+    if case == "partial":
+        wall = mesh.group("wall").nodes
+        dofmap = DofMap(mesh.n_nodes, np.concatenate([
+            (3 * wall[:, None] + np.arange(3)).ravel(), 3 * mesh.group("inlet").nodes]))
+    else:
+        dofmap = DofMap.from_mesh(mesh, ["inlet", "wall"])
     outlets = [] if case == "no_outlets" else ["outlet"]
     body_force = (lambda x, t: np.sin(x + t)) if case == "body_force" else None
     asm = NavierStokesAssembler(mesh, dofmap, RHO, MU, outlets=outlets,
@@ -605,22 +614,38 @@ def _box_residual_case(nx, ny, nz):
                  np.array([1.0]), 1e-3)
 
 
+_BLOCK_CASES = ["zero", "backflow", "unstabilized", "body_force", "no_outlets", "box"]
+
+
 @pytest.mark.parametrize("block", ["1", "7", "E-1", "E"])
-@pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "body_force",
-                                  "no_outlets", "box"])
-def test_residual_blocks_match_one_block(monkeypatch, case, block):
-    """Any element block size gives the one-block residual, bit for bit."""
+@pytest.mark.parametrize("kind, case", [
+    *(pytest.param("residual", case, id=case) for case in _BLOCK_CASES),
+    *(pytest.param("tangent", case, id=f"tangent-{case}") for case in _BLOCK_CASES),
+])
+def test_residual_blocks_match_one_block(monkeypatch, kind, case, block):
+    """Any element block size gives the one-block residual and tangent, bit
+    for bit.  Block size 1 catches a product over all elements (``pq_sum``,
+    ``l_tau``) that is run per block: BLAS rounds a one-row product apart."""
     if case == "box":
         asm, args = _box_residual_case(8, 8, 10)
+        args += (genalpha_params(0.5),)
     else:
-        asm, (v, vdot, p, pressures, dt, _) = _tube_tangent_case(case)
-        args = (v, vdot, p, pressures, dt)
+        asm, args = _tube_tangent_case(case)
+    if kind == "residual":
+        args = args[:5]  # the tangent's flow derivatives serve as outlet pressures
+    assemble = getattr(asm, kind)
     E = len(asm.conn)
     monkeypatch.setattr(assembly, "_ELEMENT_BLOCK", E)
-    whole = asm.residual(*args, time=0.1)
+    whole = assemble(*args, time=0.1)
     monkeypatch.setattr(assembly, "_ELEMENT_BLOCK",
                         {"1": 1, "7": 7, "E-1": E - 1, "E": E}[block])
-    res = asm.residual(*args, time=0.1)
+    res = assemble(*args, time=0.1)
+    if kind == "tangent":
+        for name in "FBCD":
+            got, expected = getattr(res, name), getattr(whole, name)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(expected, part)), name
+        return
     assert np.array_equal(res.momentum, whole.momentum)
     assert np.array_equal(res.continuity, whole.continuity)
     momentum, continuity, _ = _residual_reference(asm, *args, time=0.1)
@@ -630,19 +655,38 @@ def test_residual_blocks_match_one_block(monkeypatch, case, block):
 
 def test_residual_peak_memory_is_per_block():
     """Past one block, the residual's peak memory is a block's state plus
-    the element arrays: 994 B/tet here when all elements ran at once."""
+    the element arrays: 994 B/tet here when all elements ran at once.
+
+    The tangent's peak is likewise a block's state plus the element
+    entries of F, B, C and D (2,048 B/tet); it was 9,470 B/tet when all
+    elements ran at once.  Its scatter holds one node-pair map shared by
+    the four blocks and their patterns; per-entry maps took 4,300 B/tet.
+    """
     asm, args = _box_residual_case(16, 16, 20)
+    tangent_args = args + (genalpha_params(0.5),)
+    E = len(asm.conn)
     asm.residual(*args)
     tracemalloc.start()
     try:
         asm.residual(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        residual_peak = tracemalloc.get_traced_memory()[1]
+        start = tracemalloc.get_traced_memory()[0]
+        asm._scatter
+        scatter = tracemalloc.get_traced_memory()[0] - start
+        asm.tangent(*tangent_args)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        asm.tangent(*tangent_args)
+        tangent_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 300 * len(asm.conn)
+    assert residual_peak <= 300 * E
+    assert tangent_peak <= 3000 * E
+    assert scatter <= 800 * E
 
 
-@pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "body_force", "no_outlets"])
+@pytest.mark.parametrize("case", ["zero", "backflow", "unstabilized", "body_force", "no_outlets",
+                                  "partial"])
 def test_tangent_matches_einsum_reference(case):
     asm, args = _tube_tangent_case(case)
     v = args[0]
