@@ -217,14 +217,16 @@ class NavierStokesAssembler:
 
     # -- shared state -------------------------------------------------
 
-    def _volume_state(self, v, vdot, p, dt, time, block=slice(None)):
+    def _volume_state(self, v, vdot, p, dt, time, block=slice(None), taus=None):
         """Quadrature-point state read by both the residual and the tangent.
 
         ``block`` slices the elements; E counts the elements in it.  Arrays
-        are (E, q, i) unless noted: ``gradv`` (E, i, j), ``divv`` (E,),
-        ``u``, ``acc = dv/dt + v.grad(v) - b``,
+        are (E, q, i) unless noted: ``gradv`` and its transpose ``gradvT``
+        (E, i, j), ``divv`` (E,), ``u``, ``acc = dv/dt + v.grad(v) - b``,
         ``rM = rho acc + grad(p)``, ``gu = G u`` and ``tau_m``, ``tau_c``
-        (E, q).  Without stabilization ``gu`` and both taus are zero.
+        (E, q).  ``taus`` is the block's ``(G u, tau_M)`` where the caller
+        has computed them already; otherwise ``_tau_m`` computes them here.
+        Without stabilization ``gu`` and both taus are zero.
         """
         lam = TET4_BARY
         conn, dN = self.conn[block], self.dN[block]
@@ -235,8 +237,9 @@ class NavierStokesAssembler:
         del ve
         acc = lam @ vdot[conn]
         # Stacked matmuls run several times faster on contiguous operands
-        # than on transposed views, so gradv^T is copied once.
-        acc += u @ gradv.transpose(0, 2, 1).copy()
+        # than on transposed views, so gradv^T is copied once, kernels included.
+        gradvT = gradv.transpose(0, 2, 1).copy()
+        acc += u @ gradvT
         if self.body_force is not None:
             xq = lam @ self.mesh.nodes[conn]
             acc -= np.asarray(self.body_force(xq, time), dtype=float)
@@ -244,13 +247,14 @@ class NavierStokesAssembler:
         rM += pe[:, None] @ dN
         s = {
             "gradv": gradv,
+            "gradvT": gradvT,
             "divv": gradv[:, 0, 0] + gradv[:, 1, 1] + gradv[:, 2, 2],
             "u": u,
             "acc": acc,
             "rM": rM,
         }
         if self.stabilization:
-            s["gu"], tau_m = self._tau_m(u, dt, block)
+            s["gu"], tau_m = self._tau_m(u, dt, block) if taus is None else taus
             s["tau_m"] = tau_m
             s["tau_c"] = 1.0 / (tau_m * self.trG[block, None])
         else:
@@ -337,7 +341,7 @@ class NavierStokesAssembler:
         k *= tau[..., None]
         rm = k.transpose(0, 2, 1) @ rM
         del k
-        gT = gradv.transpose(0, 2, 1).copy()
+        gT = s["gradvT"]
         gr = rM @ gT  # gradv rM
         gr *= -tau[..., None]
         gr += s["acc"]
@@ -345,7 +349,7 @@ class NavierStokesAssembler:
         rm += lam.T.copy() @ gr
         del gr
         rm *= rho
-        gT += gradv  # 2 eps(v)
+        gT += gradv  # 2 eps(v); the state's gradv^T is not read again
         visc = dN @ gT
         visc *= (self.mu * vol)[:, None, None]
         rm += visc
@@ -415,28 +419,33 @@ class NavierStokesAssembler:
         ``alpha_m``, ``alpha_f`` and ``gamma``.  Blocks are restricted to
         the free dofs.
 
-        The element kernels run over blocks of ``_ELEMENT_BLOCK`` elements
-        into one full array of element entries per block matrix, laid out
-        by component pair, then node pair.  Each component pair of a
-        block matrix is one ``bincount`` over the node-pair map, element
-        entries first and backflow entries after, so the tangent does not
-        depend on the block size, bit for bit.  F, B, C and D keep their
-        structural pattern: every free entry that an element or a
-        backflow triangle touches is stored, zero sums included, so the
-        patterns, and the ILU(0) pattern of F, are the same for every
-        state.
+        One pass over blocks of ``_ELEMENT_BLOCK`` elements computes ``G u``
+        and tau_M of every element; the kernels then run over the same
+        blocks into one full array of element entries per block matrix,
+        laid out by component pair, then node pair.  Each component pair
+        of a block matrix is one ``bincount`` over the node-pair map,
+        element entries first and backflow entries after, so the tangent
+        does not depend on the block size, bit for bit.  F, B, C and D
+        keep their structural pattern: every free entry that an element or
+        a backflow triangle touches is stored, zero sums included, so the
+        patterns, and the ILU(0) pattern of F, are the same for every state.
         """
         E, K = len(self.conn), len(self._bf_tris)
         am, afgdt = alpha.alpha_m, alpha.alpha_f * alpha.gamma * dt
+        # ``G u`` and tau_M of every element come from one pass, so that
         # ``w tau_M lam`` is one (E, 4) x (4, 4) product, not one per
         # block: BLAS rounds a one-row product unlike a row of a larger one.
-        # A single block forms it in the kernel; several need tau_M first.
-        l_tau = self._weighted_tau(v, dt) @ TET4_BARY if E > _ELEMENT_BLOCK else None
+        gu, tau = np.zeros((E, 4, 3)), np.zeros((E, 4))
+        if self.stabilization:
+            for start in range(0, E, _ELEMENT_BLOCK):
+                block = slice(start, start + _ELEMENT_BLOCK)
+                gu[block], tau[block] = self._tau_m(TET4_BARY @ v[self.conn[block]], dt, block)
+        l_tau = (self.w[:, None] * tau) @ TET4_BARY
 
         for start in range(0, E, _ELEMENT_BLOCK):
             block = slice(start, start + _ELEMENT_BLOCK)
             f, b, c, d = self._volume_tangent(v, vdot, p, dt, time, block, am, afgdt,
-                                              None if l_tau is None else l_tau[block])
+                                              (gu[block], tau[block]), l_tau[block])
             if not start:
                 # Allocated once the first block's temporaries are freed, so
                 # the full arrays reuse their pages, still mapped and cached.
@@ -464,21 +473,11 @@ class NavierStokesAssembler:
             A=self.outlet_weights[:, self.dofmap.free_v],
         )
 
-    def _weighted_tau(self, v, dt):
-        """``w tau_M`` (E, q) over all elements, tau_M computed block by block."""
-        wt = np.zeros((len(self.conn), len(TET4_BARY)))
-        if self.stabilization:
-            for start in range(0, len(self.conn), _ELEMENT_BLOCK):
-                block = slice(start, start + _ELEMENT_BLOCK)
-                u = TET4_BARY @ v[self.conn[block]]
-                wt[block] = self.w[block, None] * self._tau_m(u, dt, block)[1]
-        return wt
-
-    def _volume_tangent(self, v, vdot, p, dt, time, block, am, afgdt, l_tau):
+    def _volume_tangent(self, v, vdot, p, dt, time, block, am, afgdt, taus, l_tau):
         """Element entries of F (E, a, i, b, j), B (E, a, i, b), C (E, a, b, j)
-        and D (E, a, b) of ``block``; ``l_tau`` (E, a) is the block's
-        ``w tau_M lam``, formed here when None because the block holds
-        every element.
+        and D (E, a, b) of ``block``.  ``taus`` is the block's ``(G u, tau_M)``
+        and ``l_tau`` (E, a) its ``w tau_M lam``, all three from the
+        tangent's pass over every element.
 
         The terms of F are grouped by index structure: one batched matmul
         for the ``dtau_M`` and grad-div terms, one outer product for the
@@ -487,9 +486,9 @@ class NavierStokesAssembler:
         one scalar kernel for every ``delta_ij`` term.
         """
         # Matmuls run faster on contiguous operands than on transposed
-        # views, so lam^T, dN^T and gradv^T are copied once.
+        # views, so lam^T and dN^T are copied once, and gradv^T comes copied.
         lam, lamT = TET4_BARY, TET4_BARY.T.copy()
-        s = self._volume_state(v, vdot, p, dt, time, block)
+        s = self._volume_state(v, vdot, p, dt, time, block, taus)
         w, dN, vol, rho, mu = self.w[block], self.dN[block], self.vol[block], self.rho, self.mu
         tau, rM, gradv = s["tau_m"], s["rM"], s["gradv"]
         E = len(w)
@@ -502,7 +501,7 @@ class NavierStokesAssembler:
         dNt = dN.transpose(0, 2, 1).copy()
         tdn = s["u"] @ dNt  # u . dN_a
         rdn = rM @ dNt  # rM . dN_a
-        gr = rM @ gradv.transpose(0, 2, 1).copy()  # gradv rM, (E, q, i)
+        gr = rM @ s["gradvT"]  # gradv rM, (E, q, i)
         gtdn = dN @ gradv  # gradv^T dN_a, (E, a, j)
         dndn = dN @ dNt  # (E, a, b)
         wt = w[:, None] * tau  # w tau_M, (E, q)
@@ -551,8 +550,6 @@ class NavierStokesAssembler:
             f_el[:, :, i, :, i] += scalar
 
         # B: momentum rows, pressure columns, (E, a, i, b).
-        if l_tau is None:
-            l_tau = wt @ lam
         b_el = -(wq * dN)[..., None] * lam.sum(axis=0)
         b_el += rho * tk.sum(axis=1)[:, :, None, None] * dNt[:, None]
         gdn = gradv @ dNt  # gradv dN_b, (E, i, b)

@@ -77,10 +77,9 @@ class Mesh:
     nodes : (N, 3) float array of coordinates in cm.
     tets : (M, 4) int array of node indices, positively oriented.
     facet_groups : dict of name -> FacetGroup partitioning the boundary.
-    jinv : (M, 3, 3) cached inverse Jacobians, ``jinv[e, k, i]`` being
-        the derivative of parent coordinate k with respect to x_i.
     volumes : (M,) element volumes.
-    grads : (M, 4, 3) gradients of the nodal basis functions.
+    grads : (M, 4, 3) gradients of the nodal basis functions; rows 1-3
+        are the inverse Jacobians ``d xi_k / d x_i``.
     metric : (M, 3, 3) node-ordering-invariant element metric tensors.
     """
 
@@ -98,7 +97,7 @@ class Mesh:
                 f"{self.tets[bad[0]].tolist()}"
             )
         self.facet_groups: dict[str, FacetGroup] = facet_groups
-        self.volumes, self.jinv, self.grads, self.metric = tet_geometry(self.nodes[self.tets])
+        self.volumes, _, self.grads, self.metric = tet_geometry(self.nodes[self.tets])
         self._validate_facets(boundary_faces(self.tets) if boundary is None else boundary)
 
     @classmethod

@@ -697,3 +697,13 @@ def test_package_imports_no_test_only_dependency():
                  "for m in pkgutil.iter_modules(nbflow.__path__):\n"
                  "    importlib.import_module('nbflow.' + m.name)")
     assert _loaded_after(statement, ("scipy.integrate", "sympy")) == "[]"
+
+
+def test_numpy_floor_has_vecdot():
+    # The tau_M kernel and the BIPN Schur coefficients call np.vecdot,
+    # which numpy has from 2.0 on.
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    floor = next(d.partition(">=")[2] for d in deps if d.startswith("numpy"))
+    assert tuple(int(x) for x in floor.split(".")[:2]) >= (2, 0), floor

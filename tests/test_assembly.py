@@ -644,13 +644,32 @@ def test_residual_blocks_match_one_block(monkeypatch, kind, case, block):
         for name in "FBCD":
             got, expected = getattr(res, name), getattr(whole, name)
             for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, part), getattr(expected, part)), name
+                # Bytes, so that a zero that changes its sign is caught too.
+                assert getattr(got, part).tobytes() == getattr(expected, part).tobytes(), name
         return
     assert np.array_equal(res.momentum, whole.momentum)
     assert np.array_equal(res.continuity, whole.continuity)
     momentum, continuity, _ = _residual_reference(asm, *args, time=0.1)
     for got, expected in ((res.momentum, momentum), (res.continuity, continuity)):
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_tangent_computes_tau_m_once_per_element(monkeypatch):
+    """One pass over the element blocks is the tangent's only ``_tau_m``
+    call; the kernels read ``G u`` and tau_M from it."""
+    asm, args = _tube_tangent_case("backflow")
+    counted = []
+    tau_m = NavierStokesAssembler._tau_m
+
+    def counting(self, u, dt, block):
+        counted.append(len(u))
+        return tau_m(self, u, dt, block)
+
+    monkeypatch.setattr(NavierStokesAssembler, "_tau_m", counting)
+    monkeypatch.setattr(assembly, "_ELEMENT_BLOCK", 7)
+    asm.tangent(*args, time=0.1)
+    assert len(counted) > 1
+    assert sum(counted) == len(asm.conn)
 
 
 def test_residual_peak_memory_is_per_block():

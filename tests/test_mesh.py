@@ -282,9 +282,11 @@ def test_mesh_geometry_is_the_single_tet_kernel(make):
     # metric_tensor (criterion 8) checks, to the last bit.
     mesh = make()
     single = [tet_geometry(x[None]) for x in mesh.nodes[mesh.tets]]
-    for i, name in enumerate(("volumes", "jinv", "grads", "metric")):
-        rows = np.concatenate([geometry[i] for geometry in single])
-        assert rows.tobytes() == np.ascontiguousarray(getattr(mesh, name)).tobytes(), name
+    # Mesh holds no inverse Jacobians: they are the last three gradients.
+    held = {"volumes": mesh.volumes, "jinv": mesh.grads[:, 1:], "grads": mesh.grads,
+            "metric": mesh.metric}
+    for (name, array), parts in zip(held.items(), zip(*single)):
+        assert np.concatenate(parts).tobytes() == array.tobytes(), name
     metrics = np.array([metric_tensor(x) for x in mesh.nodes[mesh.tets]])
     assert metrics.tobytes() == mesh.metric.tobytes()
 
