@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .krylov import csr_matvec
 from .meshing import Mesh, surface_normal_weights
 from .quadrature import TET4_BARY, TRI3_BARY
 
@@ -102,10 +103,14 @@ class BlockTangent:
     adds ``w_k a_k a_k^T``, with weight ``w[k]`` and the row ``a_k = A[k]``
     over the free velocity dofs.  The low-rank term is never densified.
     (The attribute ``A`` is this outlet matrix; the preconditioners call
-    the whole velocity block A.)
+    the whole velocity block A.)  ``F``, ``B``, ``C`` and ``D`` are CSR
+    matrices, applied by :func:`~nbflow.krylov.csr_matvec`.
     """
 
     def __init__(self, F, B, C, D, w=(), A=None):
+        for name, block in zip("FBCD", (F, B, C, D)):
+            if not (sp.issparse(block) and block.format == "csr"):
+                raise ValueError(f"block {name} must be a CSR matrix")
         self.F = F
         self.B = B
         self.C = C
@@ -130,7 +135,7 @@ class BlockTangent:
 
     def apply_velocity_block(self, x_v):
         """Action of the velocity block ``F + A^T diag(w) A``."""
-        y = self.F @ x_v
+        y = csr_matvec(self.F, x_v)
         y += (self.w * (self.A @ x_v)) @ self.A
         return y
 
@@ -139,8 +144,8 @@ class BlockTangent:
         if x.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}, got {x.shape}")
         x_v, x_p = x[: self.n_v], x[self.n_v:]
-        r_v = self.apply_velocity_block(x_v) + self.B @ x_p
-        r_p = self.C @ x_v + self.D @ x_p
+        r_v = self.apply_velocity_block(x_v) + csr_matvec(self.B, x_p)
+        r_p = csr_matvec(self.C, x_v) + csr_matvec(self.D, x_p)
         return np.concatenate([r_v, r_p])
 
     def a_diagonal(self) -> np.ndarray:

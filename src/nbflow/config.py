@@ -37,6 +37,7 @@ Example::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Optional
@@ -232,14 +233,25 @@ _OUTLET_KEYS = {
 _OUTLET_NAMES = {k.lower(): k for _, keys in _OUTLET_KEYS.values() for k in keys}
 
 
+def _finite(value) -> bool:
+    """Whether every float in ``value``, a value or nested tuple of values, is finite."""
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _convert(section, key, text, default, name):
-    """``text`` read as the type of ``default``, the default of field ``name``."""
+    """``text`` read as the type of ``default``, the default of field ``name``;
+    a float that is nan or infinite, alone or in a tuple, is rejected."""
     try:
         if isinstance(default, bool):
             if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
                 raise ValueError(f"not a boolean: {text!r}")
             return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-        return (_TUPLES[name] if isinstance(default, tuple) else type(default))(text)
+        value = (_TUPLES[name] if isinstance(default, tuple) else type(default))(text)
+        if not _finite(value):
+            raise ValueError(f"not a finite number: {text!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 

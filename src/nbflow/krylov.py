@@ -7,8 +7,15 @@ preconditioned residual against ``rtol * ||P^-1 b||``; flexible GMRES
 uses right preconditioning and checks the true residual against
 ``rtol * ||b||``.  Both return the best iterate by the residual they
 monitor, recomputed after each restart, flag a full cycle that ends no
-lower than it started as stagnation, and never modify the caller's
-initial guess.
+lower than it started as stagnation, count the cycles whose estimate met
+the target while the recomputed residual did not, and never modify the
+caller's initial guess.
+
+Every iteration of every level pays for its bookkeeping, so the hot path
+keeps it small: a CSR operator is applied by :func:`csr_matvec`, scipy's
+CSR kernel without the sparse ``@`` dispatch, and the cycle keeps its
+norms, rotations and Hessenberg columns in Python floats and lists.
+Both give the same bits as the ``@`` products and ``np.linalg.norm``.
 """
 
 from __future__ import annotations
@@ -20,6 +27,12 @@ from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
+
+try:
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError as exc:
+    raise ImportError("nbflow needs scipy>=1.17, whose scipy.sparse._sparsetools "
+                      "provides csr_matvec") from exc
 
 log = logging.getLogger("nbflow.krylov")
 
@@ -40,8 +53,8 @@ class SolverSettings:
     def __post_init__(self):
         if self.restart < 1 or self.max_iters < 1:
             raise ValueError("restart and max_iters must be at least 1")
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -56,16 +69,40 @@ class SolveStats:
     history: list = field(default_factory=list)  # absolute residual per iteration
     stagnated: bool = False
     breakdown: bool = False
+    false_exits: int = 0  # cycles whose estimate met the target, the residual not
 
     def relative_history(self) -> np.ndarray:
         ref = self.reference if self.reference > 0.0 else 1.0
         return np.asarray(self.history) / ref
 
 
+def csr_matvec(M, x):
+    """``M @ x`` for a float CSR matrix ``M`` and a vector ``x``, bit for bit.
+
+    This is the kernel that ``M @ x`` ends in, scipy's private
+    ``_sparsetools.csr_matvec`` writing into ``np.zeros``, called without
+    the sparse dispatch in front of it, which is a measurable share of a
+    Krylov iteration at desk scale.  The tests hold it bitwise to ``M @ x``.
+    """
+    m, n = M.shape
+    if x.shape != (n,):
+        raise ValueError(f"expected a vector of length {n}, got {x.shape}")
+    y = np.zeros(m)
+    _csr_matvec(m, n, M.indptr, M.indices, M.data, x, y)
+    return y
+
+
 def _as_operator(obj):
     if callable(obj):
         return obj
+    if sp.issparse(obj) and obj.format == "csr":
+        return partial(csr_matvec, obj)
     return lambda x: obj @ x
+
+
+def _norm(v):
+    """``np.linalg.norm`` of a 1-D float array, bit for bit, as a Python float."""
+    return math.sqrt(v @ v)
 
 
 def _gmres_cycle(apply_op, r, target, m, apply_p=None):
@@ -77,62 +114,69 @@ def _gmres_cycle(apply_op, r, target, m, apply_p=None):
     against the basis by classical Gram-Schmidt, two matrix-vector
     products per pass, with a second pass when the first removes most of
     the vector (CGS2, "twice is enough": Giraud, Langou & Rozloznik 2005).
-    The Givens rotations run on Python floats.  Returns
-    ``(dz, history, breakdown)``: the correction ``Z[:k].T @ y``, the
-    residual estimate after each of the ``k`` columns, and whether the
-    cycle exited on ``h_{j+1,j} == 0``.  A column whose Givens rotation is
-    exactly zero (singular Hessenberg) ends the cycle at the last good
-    column with a warning; a non-finite one raises ``FloatingPointError``.
+    Norms are ``sqrt(w @ w)``, which is what ``np.linalg.norm`` computes.
+    The Givens rotations run on Python floats, the rotated Hessenberg
+    columns are kept as lists, and the ``k x k`` triangle is built once,
+    for ``np.linalg.solve``.  Returns ``(dz, history, breakdown)``: the
+    correction ``Z[:k].T @ y``, the residual estimate after each of the
+    ``k`` columns, and whether the cycle exited on ``h_{j+1,j} == 0``.  A
+    column whose Givens rotation is exactly zero (singular Hessenberg)
+    ends the cycle at the last good column with a warning; a non-finite
+    one raises ``FloatingPointError``.
     """
     n = len(r)
-    beta = np.linalg.norm(r)
+    beta = _norm(r)
     V = np.empty((m + 1, n))
     Z = V if apply_p is None else np.empty((m, n))
-    H = np.zeros((m, m))
-    cs, sn = [], []
-    g = [float(beta)]
-    V[0] = r / beta
+    cs, sn, cols = [], [], []
+    g = [beta]
+    np.divide(r, beta, out=V[0])
     history = []
-    k = 0
     for j in range(m):
         if apply_p is not None:
             Z[j] = apply_p(V[j])
         w = apply_op(Z[j])
-        norm_before = np.linalg.norm(w)
+        norm_before = _norm(w)
         basis = V[:j + 1]
         h = basis @ w
         w -= h @ basis
-        h_last = np.linalg.norm(w)
+        h_last = _norm(w)
         if h_last < _REORTH_THRESHOLD * norm_before:
             corr = basis @ w
             h += corr
             w -= corr @ basis
-            h_last = np.linalg.norm(w)
+            h_last = _norm(w)
         # Apply accumulated Givens rotations, then create a new one.
-        col = h.tolist() + [float(h_last)]
+        col = h.tolist()
+        top = col[0]
         for i in range(j):
-            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
-                                  -sn[i] * col[i] + cs[i] * col[i + 1])
-        denom = float(np.hypot(col[j], col[j + 1]))
+            c, s, below = cs[i], sn[i], col[i + 1]
+            col[i] = c * top + s * below
+            top = -s * top + c * below
+        denom = float(np.hypot(top, h_last))
         if not math.isfinite(denom):
             raise FloatingPointError("GMRES breakdown: non-finite Hessenberg")
         if denom == 0.0:
             log.warning("GMRES cycle stopped after %d of %d columns: singular Hessenberg",
-                        k, m)
+                        j, m)
             break
-        cs.append(col[j] / denom)
-        sn.append(col[j + 1] / denom)
+        c, s = top / denom, h_last / denom
+        cs.append(c)
+        sn.append(s)
         col[j] = denom
-        H[:j + 1, j] = col[:j + 1]
-        g.append(-sn[j] * g[j])
-        g[j] = cs[j] * g[j]
-        k = j + 1
+        cols.append(col)
+        g.append(-s * g[j])
+        g[j] = c * g[j]
         history.append(abs(g[j + 1]))
-        if abs(g[j + 1]) <= target or h_last == 0.0:
+        if history[-1] <= target or h_last == 0.0:
             break
-        V[j + 1] = w / h_last
-    y = np.linalg.solve(H[:k, :k], g[:k])
-    return Z[:k].T @ y, history, bool(h_last == 0.0)
+        np.divide(w, h_last, out=V[j + 1])
+    k = len(cols)
+    H = np.zeros((k, k))
+    for j, col in enumerate(cols):
+        H[:j + 1, j] = col
+    y = np.linalg.solve(H, g[:k])
+    return Z[:k].T @ y, history, h_last == 0.0
 
 
 def _restarted(residual, apply_op, r0, settings: SolverSettings, x0, apply_p=None):
@@ -146,17 +190,22 @@ def _restarted(residual, apply_op, r0, settings: SolverSettings, x0, apply_p=Non
     entry is the recomputed residual, not the cycle's estimate.  The
     best iterate by that residual is returned: under an inexact operator
     a cycle can end above where it started, which a full cycle reports
-    as stagnation without stopping the solve.  A breakdown ends it.
+    as stagnation without stopping the solve.  A cycle whose estimate met
+    the target while the recomputed residual did not is counted in
+    ``false_exits``, and the solve restarts.  A breakdown ends it.
     """
-    ref = np.linalg.norm(r0)
+    ref = _norm(r0)
     if ref == 0.0:  # the exact answer, x = 0
         return np.zeros_like(r0), SolveStats(converged=True, residual_norm=0.0,
                                              relative_residual=0.0)
     stats = SolveStats(reference=ref)
     target = max(settings.rtol * ref, settings.atol)
-    x = np.array(x0, dtype=float, copy=True) if x0 is not None else np.zeros_like(r0)
-    r = residual(x) if np.any(x) else r0
-    rnorm = np.linalg.norm(r)
+    if x0 is None:
+        x, r, rnorm = np.zeros_like(r0), r0, ref
+    else:
+        x = np.array(x0, dtype=float, copy=True)
+        r = residual(x) if np.any(x) else r0
+        rnorm = _norm(r)
     stats.history.append(rnorm)
     best_x, best_norm = x, rnorm
     while rnorm > target and stats.iterations < settings.max_iters:
@@ -167,7 +216,9 @@ def _restarted(residual, apply_op, r0, settings: SolverSettings, x0, apply_p=Non
         stats.iterations += len(hist)
         stats.history.extend(hist)
         r = residual(x)
-        rnorm = np.linalg.norm(r)
+        rnorm = _norm(r)
+        if hist and hist[-1] <= target < rnorm:
+            stats.false_exits += 1
         stats.history[-1] = rnorm
         if rnorm < best_norm:
             best_x, best_norm = x, rnorm

@@ -13,6 +13,7 @@ outer Krylov method since their action changes from call to call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -20,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import BlockTangent
-from .krylov import ILU0Preconditioner, JacobiPreconditioner, SolverSettings, gmres
+from .krylov import (ILU0Preconditioner, JacobiPreconditioner, SolverSettings, csr_matvec,
+                     gmres)
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,8 @@ class NestedSettings:
     pc_s: str = "ilu0"
 
     def __post_init__(self):
-        if self.inner_rtol <= 0.0:
-            raise ValueError("inner tolerance must be positive")
+        if not 0.0 < self.inner_rtol < math.inf:
+            raise ValueError("inner tolerance must be positive and finite")
         if self.pc_a not in _PC_A:
             raise ValueError(f"pc_a must be one of {tuple(_PC_A)}")
         if self.pc_s not in _PC_S:
@@ -49,9 +51,11 @@ class SubSolveStats:
     intermediate_iterations: int = 0
     inner_iterations: int = 0
     inner_solves: int = 0
+    false_exits: int = 0
     failures: list = field(default_factory=list)
 
     def record(self, label: str, stats, inner=False) -> None:
+        self.false_exits += stats.false_exits
         if inner:
             self.inner_iterations += stats.iterations
             self.inner_solves += 1
@@ -181,7 +185,8 @@ class SchurContext:
 
     def apply(self, x_p):
         t = self.tangent
-        return t.D @ x_p - t.C @ self.solve_a(t.B @ x_p, "inner A solve", inner=True)
+        y = self.solve_a(csr_matvec(t.B, x_p), "inner A solve", inner=True)
+        return csr_matvec(t.D, x_p) - csr_matvec(t.C, y)
 
     __call__ = apply
 
@@ -204,8 +209,8 @@ class SCRPreconditioner(_BlockPreconditioner):
         s = np.asarray(s, dtype=float)
         s_v, s_p = s[: t.n_v], s[t.n_v:]
         y_hat = ctx.solve_a(s_v, "intermediate A solve (1)")
-        y_p = ctx.solve_s(ctx.apply, s_p - t.C @ y_hat, "Schur solve")
-        y_v = ctx.solve_a(s_v - t.B @ y_p, "intermediate A solve (2)")
+        y_p = ctx.solve_s(ctx.apply, s_p - csr_matvec(t.C, y_hat), "Schur solve")
+        y_v = ctx.solve_a(s_v - csr_matvec(t.B, y_p), "intermediate A solve (2)")
         return np.concatenate([y_v, y_p])
 
     __call__ = apply
@@ -227,8 +232,8 @@ class SIMPLEPreconditioner(_BlockPreconditioner):
         t, ctx = self.tangent, self.context
         s = np.asarray(s, dtype=float)
         y_hat = ctx.solve_a(s[: t.n_v], "intermediate A solve")
-        y_p = ctx.solve_s(ctx.s_hat, s[t.n_v:] - t.C @ y_hat, "sparse Schur solve")
-        y_v = y_hat - self.inv_diag_a * (t.B @ y_p)
+        y_p = ctx.solve_s(ctx.s_hat, s[t.n_v:] - csr_matvec(t.C, y_hat), "sparse Schur solve")
+        y_v = y_hat - self.inv_diag_a * csr_matvec(t.B, y_p)
         return np.concatenate([y_v, y_p])
 
     __call__ = apply

@@ -124,6 +124,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[outlet.x]\ntype = magic\nR = 1\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [
+        ("time", "dt"), ("fluid", "density"), ("fluid", "viscosity"), ("outlet.outlet", "R"),
+        ("inflow", "flow_rate"), ("solver", "tol_i"), ("solver", "outer_rtol"),
+        ("bench", "resistances"), ("inflow", "waveform"),
+    ])
+    def test_non_finite_value_rejected(self, section, key, value):
+        # Each of these parsed at face value: a NaN tolerance made gmres
+        # return x = 0 unconverged, an infinite one made fgmres call x = 0
+        # converged.  Tuple entries are checked one by one.
+        text = {"resistances": f"1e2 {value}", "waveform": f"0:1 1:{value}"}.get(key, value)
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: not a finite number"):
+            parse_config(f"[{section}]\n{key} = {text}\n")
+
     def test_initial_pi_rejected_on_resistance_outlet(self):
         # A resistance outlet has no state, so the value would be ignored.
         with pytest.raises(ConfigError, match=r"\[outlet.x\] initial_pi needs type = rcr"):

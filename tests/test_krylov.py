@@ -1,4 +1,6 @@
 import logging
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -11,9 +13,11 @@ from nbflow.krylov import (
     ILU0Preconditioner,
     JacobiPreconditioner,
     SolverSettings,
+    csr_matvec,
     fgmres,
     gmres,
 )
+from nbflow.precond import SubSolveStats
 
 
 def poisson_2d(n):
@@ -263,6 +267,31 @@ class TestGmres:
         assert np.linalg.norm(b - apply_a(x)) <= np.linalg.norm(b)
         assert stats.residual_norm == np.linalg.norm(b - apply_a(x))
         assert stats.stagnated
+
+    def test_false_exits_counted(self):
+        # Each cycle's estimate meets the target after 8 columns, while the
+        # recomputed residual does not.  The first two cycles of 10 columns
+        # are not full, so only the count reports them.
+        n = 8
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        b = rng.normal(size=n)
+
+        def apply_a(v):
+            return a @ v + 20.0 * np.linalg.norm(v) * u
+
+        x, stats = gmres(apply_a, b, SolverSettings(restart=10, max_iters=24))
+        assert stats.iterations == 24 and not stats.converged
+        assert stats.false_exits == 3
+        _, exact = gmres(a, b, SolverSettings(restart=10, max_iters=24))
+        assert exact.converged and exact.false_exits == 0
+        sub = SubSolveStats()
+        sub.record("inner A solve", stats, inner=True)
+        sub.record("Schur solve", stats)
+        sub.record("A solve", exact)
+        assert sub.false_exits == 6
 
 
 class TestFgmres:
@@ -640,6 +669,62 @@ def test_settings_validation():
         SolverSettings(rtol=0.0)
     with pytest.raises(ValueError):
         SolverSettings(max_iters=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["rtol", "atol"])
+def test_settings_reject_non_finite_tolerance(name, value):
+    # A NaN rtol returned x = 0 unconverged, an infinite one x = 0 "converged".
+    with pytest.raises(ValueError, match="positive and finite"):
+        SolverSettings(**{name: value})
+
+
+def _csr_cases():
+    rng = np.random.default_rng(7)
+    canonical = sp.random(40, 30, density=0.2, format="csr", random_state=rng)
+    canonical.data[:] = rng.normal(size=canonical.nnz) * 10.0 ** rng.uniform(-8, 8, canonical.nnz)
+    unsorted = canonical.copy()
+    for i in range(unsorted.shape[0]):
+        row = slice(unsorted.indptr[i], unsorted.indptr[i + 1])
+        unsorted.indices[row] = unsorted.indices[row][::-1]
+        unsorted.data[row] = unsorted.data[row][::-1]
+    unsorted.has_sorted_indices = False
+    empty_rows = canonical.copy()
+    empty_rows.data[empty_rows.indptr[5]:empty_rows.indptr[12]] = 0.0
+    empty_rows.eliminate_zeros()
+    assert np.any(np.diff(empty_rows.indptr) == 0)
+    wide = canonical.copy()
+    wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
+    return {"sorted": canonical, "unsorted": unsorted, "empty rows": empty_rows,
+            "int64 indices": wide, "all empty": sp.csr_matrix((3, 30))}
+
+
+@pytest.mark.parametrize("case", ["sorted", "unsorted", "empty rows", "int64 indices",
+                                  "all empty"])
+def test_csr_matvec_equals_sparse_matmul(case):
+    # csr_matvec calls scipy's private _sparsetools kernel; a scipy upgrade
+    # that changes it or the @ path fails here.
+    M = _csr_cases()[case]
+    rng = np.random.default_rng(8)
+    for x in (rng.normal(size=30), rng.normal(size=60)[::2], np.zeros(30)):
+        got, want = csr_matvec(M, x), M @ x
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="length 30"):
+        csr_matvec(M, np.ones(29))
+
+
+def test_missing_csr_kernel_fails_at_import():
+    # A fresh interpreter, so that the stub cannot leak into other tests.
+    code = ("import sys, types, scipy.sparse\n"
+            "sys.modules['scipy.sparse._sparsetools'] = types.ModuleType('_sparsetools')\n"
+            "import nbflow.krylov\n")
+    src = os.path.dirname(os.path.dirname(krylov.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "ImportError: nbflow needs scipy>=1.17" in proc.stderr
 
 
 def test_matrix_exchange_round_trip(tmp_path):

@@ -1,11 +1,13 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from nbflow import precond
+import oracles
+from nbflow import krylov, precond
 from nbflow.assembly import BlockTangent
 from nbflow.krylov import ILU0Preconditioner, SolverSettings, fgmres
 from nbflow.precond import (
@@ -398,3 +400,81 @@ def test_monotone_inner_tolerance():
         assert stats.converged
         iterations.append(stats.iterations)
     assert all(b <= a for a, b in zip(iterations, iterations[1:])), iterations
+
+
+# (pc_a, pc_s) of the reference comparison, named by the Schur preconditioner.
+_REFERENCE_PCS = {"ilu0": ("ilu0", "ilu0"), "bipn": ("ilu0", "bipn"),
+                  "jacobi": ("jacobi", "jacobi")}
+
+
+def _restart_15(pc_a, pc_s, inner_rtol):
+    return NestedSettings(a_solve=SolverSettings(restart=15, rtol=1e-3),
+                          s_solve=SolverSettings(restart=15, rtol=1e-2),
+                          inner_rtol=inner_rtol, pc_a=pc_a, pc_s=pc_s)
+
+
+def _assert_same_solve(got, want):
+    (x, stats), (x_ref, stats_ref) = got, want
+    assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+    history = np.asarray(stats.history, dtype=np.float64)
+    assert history.tobytes() == np.asarray(stats_ref.history, dtype=np.float64).tobytes()
+    for attr in ("iterations", "converged", "stagnated", "breakdown", "residual_norm"):
+        assert getattr(stats, attr) == getattr(stats_ref, attr), attr
+
+
+@pytest.mark.parametrize("inner_rtol", [1e-1, 1e-3])
+@pytest.mark.parametrize("pcs", sorted(_REFERENCE_PCS))
+@pytest.mark.parametrize("name", ["scr", "simple", "block_diag", "none"])
+def test_krylov_path_bitwise_equal_to_reference(monkeypatch, tube_blocks, name, pcs,
+                                                inner_rtol):
+    # The reference runs the Krylov path with @ products and np.linalg.norm;
+    # every level must give the same x, history and counts, byte for byte.
+    tangent, rhs, *_ = tube_blocks
+    settings = _restart_15(*_REFERENCE_PCS[pcs], inner_rtol)
+    outer = SolverSettings(restart=15, rtol=1e-8)
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(krylov.gmres(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(precond, "gmres", recording)
+    pc = build_preconditioner(name, tangent, settings)
+    got = fgmres(tangent.apply, pc.apply, rhs, outer)
+    ref_solves = []
+    ref = oracles.ReferenceNested(name, tangent, settings, ref_solves)
+    want = oracles.fgmres(partial(oracles.apply_block, tangent), ref.apply, rhs, outer)
+    _assert_same_solve(got, want)
+    assert got[1].iterations > 1
+    assert len(solves) == len(ref_solves)
+    assert (not solves) == (name == "none")
+    for solve, (_, *ref_solve) in zip(solves, ref_solves):
+        _assert_same_solve(solve, ref_solve)
+    for attr in ("intermediate_iterations", "inner_iterations", "inner_solves", "failures"):
+        assert getattr(pc.stats, attr) == getattr(ref.stats, attr), attr
+
+
+@pytest.mark.parametrize("pc_s", ["ilu0", "jacobi", "bipn", "none"])
+@pytest.mark.parametrize("pc_a", ["jacobi", "ilu0", "none"])
+@pytest.mark.parametrize("name", ["scr", "simple", "block_diag"])
+def test_solve_phase_skips_sparse_dispatch(monkeypatch, tube_blocks, name, pc_a, pc_s):
+    # Every product with F, B, C, D and the sparse Schur approximation goes
+    # straight to the CSR kernel, never through scipy's sparse @.
+    from scipy.sparse._compressed import _cs_matrix
+
+    tangent, rhs, *_ = tube_blocks
+    pc = build_preconditioner(name, tangent, _restart_15(pc_a, pc_s, 1e-2))
+
+    def forbidden(self, other):
+        raise AssertionError("the solve entered scipy's sparse dispatch")
+
+    monkeypatch.setattr(_cs_matrix, "_matmul_vector", forbidden)
+    _, stats = fgmres(tangent.apply, pc.apply, rhs, SolverSettings(rtol=1e-6))
+    assert stats.iterations > 0
+    assert pc.stats.intermediate_iterations > 0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_inner_tolerance_must_be_finite(value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        NestedSettings(inner_rtol=value)
