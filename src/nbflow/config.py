@@ -77,12 +77,14 @@ class InflowConfig:
     surface: str = "inlet"
     flow_rate: float = 0.0
     ramp_time: float = 0.0
-    normalize: bool = True
     perturbation: float = 0.0
     waveform: tuple = ()  # optional ((t, q), ...) piecewise-linear table
 
     def __post_init__(self):
         _check(self, "non-negative", "ramp_time", "perturbation")
+        times = [t for t, _ in self.waveform]
+        if any(later <= earlier for earlier, later in zip(times, times[1:])):
+            raise ConfigError("waveform times must strictly increase")
 
 
 @dataclass(frozen=True)
@@ -200,9 +202,9 @@ def _field_keys(prefix, cls, skip=()):
 _CASE_KEYS = {
     "preconditioner": "preconditioner",
     "restart_a": "nested.a_solve.restart", "tol_a": "nested.a_solve.rtol",
-    "atol_a": "nested.a_solve.atol", "max_iters_a": "nested.a_solve.max_iters",
+    "max_iters_a": "nested.a_solve.max_iters",
     "restart_s": "nested.s_solve.restart", "tol_s": "nested.s_solve.rtol",
-    "atol_s": "nested.s_solve.atol", "max_iters_s": "nested.s_solve.max_iters",
+    "max_iters_s": "nested.s_solve.max_iters",
     "tol_i": "nested.inner_rtol", "pc_a": "nested.pc_a", "pc_s": "nested.pc_s",
 }
 
@@ -226,7 +228,7 @@ _KEYS = {
 _DISTAL = {"distal_pressure": "P_d"}
 _OUTLET_KEYS = {
     "resistance": (Resistance(R=0.0), {"R": "R", **_DISTAL}),
-    "rcr": (Windkessel(R_p=0.0, C=1.0, R_d=0.0),
+    "rcr": (Windkessel(R_p=0.0, C=1.0, R_d=1.0),
             {"Rp": "R_p", "C": "C", "Rd": "R_d", **_DISTAL, "initial_pi": "state"}),
 }
 # configparser lower-cases keys: lower-case key -> key as written above.
@@ -244,10 +246,6 @@ def _convert(section, key, text, default, name):
     """``text`` read as the type of ``default``, the default of field ``name``;
     a float that is nan or infinite, alone or in a tuple, is rejected."""
     try:
-        if isinstance(default, bool):
-            if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-                raise ValueError(f"not a boolean: {text!r}")
-            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
         value = (_TUPLES[name] if isinstance(default, tuple) else type(default))(text)
         if not _finite(value):
             raise ValueError(f"not a finite number: {text!r}")

@@ -43,17 +43,16 @@ _REORTH_THRESHOLD = 0.25
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Restart length, tolerances and iteration cap for one solver level."""
+    """Restart length, relative tolerance and iteration cap for one solver level."""
 
     restart: int = 200
     rtol: float = 1.0e-8
-    atol: float = 1.0e-50
     max_iters: int = 200
 
     def __post_init__(self):
         if self.restart < 1 or self.max_iters < 1:
             raise ValueError("restart and max_iters must be at least 1")
-        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+        if not 0.0 < self.rtol < math.inf:
             raise ValueError("tolerances must be positive and finite")
 
 
@@ -186,7 +185,7 @@ def _restarted(residual, apply_op, r0, settings: SolverSettings, x0, apply_p=Non
     value at ``x = 0`` and the reference, and ``apply_op`` the operator
     of the cycle; ``apply_p`` is a right preconditioner, passed to the
     cycle.  Convergence is declared when ``||residual(x)||`` drops below
-    ``max(rtol ||r0||, atol)``.  After each restart the last history
+    ``rtol ||r0||``.  After each restart the last history
     entry is the recomputed residual, not the cycle's estimate.  The
     best iterate by that residual is returned: under an inexact operator
     a cycle can end above where it started, which a full cycle reports
@@ -199,7 +198,7 @@ def _restarted(residual, apply_op, r0, settings: SolverSettings, x0, apply_p=Non
         return np.zeros_like(r0), SolveStats(converged=True, residual_norm=0.0,
                                              relative_residual=0.0)
     stats = SolveStats(reference=ref)
-    target = max(settings.rtol * ref, settings.atol)
+    target = settings.rtol * ref
     if x0 is None:
         x, r, rnorm = np.zeros_like(r0), r0, ref
     else:
@@ -236,7 +235,7 @@ def gmres(apply_a, b, settings: SolverSettings, x0=None, preconditioner=None):
     """Restarted GMRES with optional left preconditioning.
 
     Solves ``P^-1 A x = P^-1 b`` and stops on the preconditioned residual
-    ``||P^-1 (b - A x)||`` against ``max(rtol ||P^-1 b||, atol)``.
+    ``||P^-1 (b - A x)||`` against ``rtol ||P^-1 b||``.
     """
     apply_a = _as_operator(apply_a)
     b = np.asarray(b, dtype=float)
@@ -253,7 +252,7 @@ def fgmres(apply_a, apply_p, b, settings: SolverSettings, x0=None):
     ``apply_p`` may change between iterations (it is typically an inexact
     inner solve).  Both the Krylov basis and the preconditioned vectors
     are stored; convergence is checked on the true residual against
-    ``max(rtol ||b||, atol)``.
+    ``rtol ||b||``.
     """
     apply_a = _as_operator(apply_a)
     b = np.asarray(b, dtype=float)

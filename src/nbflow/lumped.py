@@ -13,6 +13,7 @@ compliance in cm^4 s^2 / g, pressures in dyn/cm^2, flows in cm^3/s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -36,10 +37,12 @@ class Windkessel:
     P_d: Union[float, Callable[[float], float]] = 0.0
 
     def __post_init__(self):
-        if self.R_p < 0.0 or self.R_d < 0.0:
-            raise ValueError("resistances must be non-negative")
-        if self.C <= 0.0:
-            raise ValueError("compliance must be positive")
+        if not 0.0 <= self.R_p < math.inf:
+            raise ValueError("proximal resistance must be non-negative and finite")
+        if not 0.0 < self.R_d < math.inf:
+            raise ValueError("distal resistance must be positive and finite")
+        if not 0.0 < self.C < math.inf:
+            raise ValueError("compliance must be positive and finite")
 
     def distal_pressure(self, t: float) -> float:
         return _as_pressure_fn(self.P_d)(t)
@@ -53,8 +56,8 @@ class Resistance:
     P_d: Union[float, Callable[[float], float]] = 0.0
 
     def __post_init__(self):
-        if self.R < 0.0:
-            raise ValueError("resistance must be non-negative")
+        if not 0.0 <= self.R < math.inf:
+            raise ValueError("resistance must be non-negative and finite")
 
     def distal_pressure(self, t: float) -> float:
         return _as_pressure_fn(self.P_d)(t)

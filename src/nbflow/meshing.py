@@ -330,18 +330,18 @@ def parabolic_inflow(mesh: Mesh, group, flow_rate: float) -> InflowProfile:
     v_max = 2 Q / (pi R^2), where R is the distance from the area centroid
     of the cap to the farthest node of its boundary curve.  The discretely
     integrated flux matches -Q only up to interpolation error on coarse
-    caps; see ``surface_flow_rate`` to measure it.
+    caps; see ``surface_flow_rate`` to measure it.  ``group`` must be an
+    inlet group, whose planarity the mesh checked when it was built.
     """
     if isinstance(group, str):
         group = mesh.group(group)
+    if group.tag != "inlet":
+        raise MeshError(f"inflow surface {group.name!r} is a {group.tag} group, "
+                        "not an inlet group")
     if not np.isfinite(flow_rate):
         raise MeshError("flow rate must be finite")
     if len(group.tris) == 0 or group.area <= 0.0:
         raise MeshError(f"inlet group {group.name!r} has zero area")
-    pts = mesh.nodes[group.nodes]
-    centroid, normal, dev, diam = fit_plane(pts)
-    if dev > PLANARITY_TOL * max(diam, 1e-300):
-        raise MeshError(f"inlet group {group.name!r} is not planar")
     # Use the mean facet normal for a consistent outward direction.
     outward = group.normals.mean(axis=0)
     outward /= np.linalg.norm(outward)
@@ -421,37 +421,46 @@ def _parse_mesh(lines, path) -> Mesh:
         idx += 1
         return row
 
+    def numbers(row, convert, what):
+        try:
+            return [convert(v) for v in row]
+        except ValueError as exc:
+            raise MeshError(f"{path}: {what}: {exc}") from None
+
+    def size(text, what):
+        (n,) = numbers([text], int, what)
+        if n < 0:
+            raise MeshError(f"{path}: {what}: {n} is negative")
+        return n
+
     header = next_line("header")
     if len(header) != 4 or header[0] != "nodes" or header[2] != "tets":
         raise MeshError(f"{path}: malformed header {' '.join(header)!r}")
-    try:
-        n_nodes, n_tets = int(header[1]), int(header[3])
-    except ValueError as exc:
-        raise MeshError(f"{path}: malformed header counts") from exc
+    n_nodes, n_tets = size(header[1], "node count"), size(header[3], "tet count")
     nodes = np.empty((n_nodes, 3))
     for i in range(n_nodes):
         row = next_line(f"node {i}")
         if len(row) != 3:
             raise MeshError(f"{path}: node {i} needs 3 coordinates")
-        nodes[i] = [float(v) for v in row]
+        nodes[i] = numbers(row, float, f"node {i}")
     tets = np.empty((n_tets, 4), dtype=np.int64)
     for i in range(n_tets):
         row = next_line(f"tet {i}")
         if len(row) != 4:
             raise MeshError(f"{path}: tet {i} needs 4 node indices")
-        tets[i] = [int(v) for v in row]
+        tets[i] = numbers(row, int, f"tet {i}")
     groups = []
     while idx < len(lines):
         row = next_line("surface header")
         if len(row) != 4 or row[0] != "surface":
             raise MeshError(f"{path}: malformed surface header {' '.join(row)!r}")
-        name, tag, count = row[1], row[2], int(row[3])
-        tris = np.empty((count, 3), dtype=np.int64)
-        for i in range(count):
+        name, tag = row[1], row[2]
+        tris = np.empty((size(row[3], f"surface {name!r} facet count"), 3), dtype=np.int64)
+        for i in range(len(tris)):
             tri = next_line(f"facet {i} of {name}")
             if len(tri) != 3:
                 raise MeshError(f"{path}: facet {i} of {name!r} needs 3 indices")
-            tris[i] = [int(v) for v in tri]
+            tris[i] = numbers(tri, int, f"facet {i} of {name!r}")
         groups.append((name, tag, tris))
     try:
         return Mesh.from_arrays(nodes, tets, groups)

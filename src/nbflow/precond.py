@@ -131,13 +131,10 @@ class BipnSchur:
 _PC_A = {
     "jacobi": lambda ctx: JacobiPreconditioner(ctx.tangent.a_diagonal()),
     "ilu0": lambda ctx: ILU0Preconditioner(ctx.tangent.F),  # the outlet terms are not factored
-    "none": lambda ctx: None,
 }
 _PC_S = {
     "ilu0": lambda ctx: ILU0Preconditioner(ctx.s_hat),
-    "jacobi": lambda ctx: JacobiPreconditioner(ctx.s_hat.diagonal()),
     "bipn": lambda ctx: BipnSchur(ctx.tangent).preconditioner(),
-    "none": lambda ctx: None,
 }
 
 
@@ -146,7 +143,7 @@ class SchurContext:
 
     ``pc_a`` and ``pc_s`` come from ``_PC_A`` and ``_PC_S``.  The sparse
     Schur approximation ``s_hat`` is built once, on first read: by the
-    ilu0 or jacobi ``pc_s``, or by the two-level preconditioners.  Every
+    ilu0 ``pc_s``, or by the two-level preconditioners.  Every
     sub-solve runs through ``solve_a`` or ``solve_s``, which record it.
     ``apply(x_p)`` returns ``D x_p - C A^-1 (B x_p)`` where the inverse is
     an inner GMRES solve at the inner tolerance with the shared ``P_A``.
@@ -252,21 +249,10 @@ class BlockDiagPreconditioner(_BlockPreconditioner):
     __call__ = apply
 
 
-class IdentityPreconditioner:
-    def __init__(self, tangent=None, settings=None):
-        self.stats = SubSolveStats()
-
-    def apply(self, s):
-        return np.asarray(s, dtype=float)
-
-    __call__ = apply
-
-
 PRECONDITIONERS = {
     "scr": SCRPreconditioner,
     "simple": SIMPLEPreconditioner,
     "block_diag": BlockDiagPreconditioner,
-    "none": IdentityPreconditioner,
 }
 
 

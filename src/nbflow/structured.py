@@ -68,18 +68,17 @@ def _plane_mesh(nodes, tets, planes, choices, eps):
     return Mesh.from_arrays(nodes, tets, groups, boundary)
 
 
-def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_tags=None):
-    """Structured box mesh with 6 tets per cell.
+def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), face_tags=None):
+    """Structured box mesh with 6 tets per cell, from the origin to ``lengths``.
 
     ``face_tags`` optionally remaps the default face groups; it maps any
     of ``xmin, xmax, ymin, ymax, zmin, zmax`` to a ``(name, tag)`` pair.
     By default each face is its own wall group.
     """
     lx, ly, lz = lengths
-    ox, oy, oz = origin
-    xs = ox + lx * np.arange(nx + 1) / nx
-    ys = oy + ly * np.arange(ny + 1) / ny
-    zs = oz + lz * np.arange(nz + 1) / nz
+    xs = lx * np.arange(nx + 1) / nx
+    ys = ly * np.arange(ny + 1) / ny
+    zs = lz * np.arange(nz + 1) / nz
     zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij")
     nodes = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
     # Corner offsets from each cell's first node: base square c0 c1 c2 c3,
@@ -93,9 +92,9 @@ def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_t
     tets = _split_prisms(prisms)  # every tet has positive volume when the lengths are positive
 
     planes = {
-        "xmin": (0, ox), "xmax": (0, ox + lx),
-        "ymin": (1, oy), "ymax": (1, oy + ly),
-        "zmin": (2, oz), "zmax": (2, oz + lz),
+        "xmin": (0, 0.0), "xmax": (0, lx),
+        "ymin": (1, 0.0), "ymax": (1, ly),
+        "zmin": (2, 0.0), "zmax": (2, lz),
     }
     face_tags = face_tags or {}
     choices = [face_tags.get(face, (face, "wall")) for face in planes] + [("wall", "wall")]
@@ -114,13 +113,12 @@ def _unit_disk(n_r, n_theta):
     return pts, np.concatenate([fan, band.reshape(-1, 3)])
 
 
-def tube_mesh(radius, length, n_r=2, n_theta=8, n_z=4, radius_profile=None,
-              inlet="inlet", outlet="outlet", wall="wall"):
+def tube_mesh(radius, length, n_r=2, n_theta=8, n_z=4, radius_profile=None):
     """Extruded tube along z with an optional radius profile.
 
     ``radius_profile`` maps z in [0, length] to a scale factor applied to
-    ``radius``; the default is the constant 1.  The inlet cap sits at
-    z = 0 and the outlet cap at z = length.
+    ``radius``; the default is the constant 1.  The ``inlet`` cap sits at
+    z = 0, the ``outlet`` cap at z = length, and the rest is ``wall``.
     """
     disk, disk_tris = _unit_disk(n_r, n_theta)
     per_slice = len(disk)
@@ -138,7 +136,7 @@ def tube_mesh(radius, length, n_r=2, n_theta=8, n_z=4, radius_profile=None,
     flip = np.repeat(np.tile(np.arange(len(disk_tris)) >= n_theta, n_z), 3)
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
 
-    choices = [(inlet, "inlet"), (outlet, "outlet"), (wall, "wall")]
+    choices = [("inlet", "inlet"), ("outlet", "outlet"), ("wall", "wall")]
     return _plane_mesh(nodes, tets, [(2, 0.0), (2, length)], choices,
                        1e-9 * max(length, radius))
 

@@ -15,6 +15,7 @@ The k outlets travel as ``(k,)`` arrays in the order of ``assembler.outlets``.
 from __future__ import annotations
 
 import logging
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
@@ -126,8 +127,8 @@ class NewtonSettings:
     max_iters: int = 20
 
     def __post_init__(self):
-        if self.tol_rel < 0.0 or self.tol_abs < 0.0:
-            raise ValueError("tolerances must be non-negative")
+        if not (0.0 <= self.tol_rel < math.inf and 0.0 <= self.tol_abs < math.inf):
+            raise ValueError("tolerances must be non-negative and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

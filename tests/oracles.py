@@ -166,7 +166,7 @@ def _restarted(residual, apply_op, r0, settings: SolverSettings, x0, apply_p=Non
     value at ``x = 0`` and the reference, and ``apply_op`` the operator
     of the cycle; ``apply_p`` is a right preconditioner, passed to the
     cycle.  Convergence is declared when ``||residual(x)||`` drops below
-    ``max(rtol ||r0||, atol)``.  After each restart the last history
+    ``rtol ||r0||``.  After each restart the last history
     entry is the recomputed residual, not the cycle's estimate.  The
     best iterate by that residual is returned: under an inexact operator
     a cycle can end above where it started, which a full cycle reports
@@ -177,7 +177,7 @@ def _restarted(residual, apply_op, r0, settings: SolverSettings, x0, apply_p=Non
         return np.zeros_like(r0), SolveStats(converged=True, residual_norm=0.0,
                                              relative_residual=0.0)
     stats = SolveStats(reference=ref)
-    target = max(settings.rtol * ref, settings.atol)
+    target = settings.rtol * ref
     x = np.array(x0, dtype=float, copy=True) if x0 is not None else np.zeros_like(r0)
     r = residual(x) if np.any(x) else r0
     rnorm = np.linalg.norm(r)
@@ -209,7 +209,7 @@ def gmres(apply_a, b, settings: SolverSettings, x0=None, preconditioner=None):
     """Restarted GMRES with optional left preconditioning.
 
     Solves ``P^-1 A x = P^-1 b`` and stops on the preconditioned residual
-    ``||P^-1 (b - A x)||`` against ``max(rtol ||P^-1 b||, atol)``.
+    ``||P^-1 (b - A x)||`` against ``rtol ||P^-1 b||``.
     """
     apply_a = _as_operator(apply_a)
     b = np.asarray(b, dtype=float)
@@ -226,7 +226,7 @@ def fgmres(apply_a, apply_p, b, settings: SolverSettings, x0=None):
     ``apply_p`` may change between iterations (it is typically an inexact
     inner solve).  Both the Krylov basis and the preconditioned vectors
     are stored; convergence is checked on the true residual against
-    ``max(rtol ||b||, atol)``.
+    ``rtol ||b||``.
     """
     apply_a = _as_operator(apply_a)
     b = np.asarray(b, dtype=float)
@@ -286,8 +286,6 @@ class ReferenceNested:
     def apply(self, s):
         t = self.t
         s = np.asarray(s, dtype=float)
-        if self.name == "none":
-            return s
         s_v, s_p = s[: t.n_v], s[t.n_v:]
         if self.name == "scr":
             y_hat = self.solve_a(s_v, "intermediate A solve (1)")

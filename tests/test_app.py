@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,11 @@ cadence = {cadence}
 """
 
 
+def _readme_configuration_section():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read().split("\n## Configuration format\n", 1)[1].split("\n## ", 1)[0]
+
+
 class TestConfig:
     def test_parse_round_trip(self):
         cfg = parse_config(BASE_CONFIG.format(steps=3, flow=10.0, outdir="o", cadence=0))
@@ -97,7 +103,7 @@ class TestConfig:
         assert cfg.rho_inf == 0.5
         assert cfg.newton.max_iters == 20
         assert cfg.solver.outer.restart == 200
-        assert cfg.solver.outer.atol == 1e-50
+        assert cfg.solver.outer.rtol == 1e-3
 
     def test_empty_sections_give_dataclass_defaults(self):
         sections = ("fluid", "time", "newton", "inflow", "solver", "output", "bench", "mms")
@@ -165,6 +171,8 @@ class TestConfig:
                      id="outlet-range"),
         pytest.param("[outlet.x]\ntype = rcr\nRp = 1\nC = 0\nRd = 1\n",
                      r"^\[outlet.x\] C: compliance must be positive", id="rcr-range"),
+        pytest.param("[outlet.x]\ntype = rcr\nRp = 1\nC = 1\nRd = 0\n",
+                     r"^\[outlet.x\] Rd: distal resistance must be positive", id="rcr-Rd-zero"),
         pytest.param("[solver]\ntol_a = -1\n", r"^\[solver\] tol_a: tolerances must be positive",
                      id="tol-range"),
         pytest.param("[solver]\nouter_rtol = 0\n",
@@ -238,8 +246,14 @@ class TestConfig:
         pytest.param("[time]\ndt = abc\n",
                      r"^\[time\] dt: could not convert string to float: 'abc'", id="float"),
         pytest.param("[time]\nsteps = 2.5\n", r"^\[time\] steps: invalid literal", id="int"),
-        pytest.param("[inflow]\nnormalize = maybe\n", r"^\[inflow\] normalize: not a boolean",
-                     id="bool"),
+        pytest.param("[inflow]\nnormalize = true\n", r"^\[inflow\] normalize: unknown key$",
+                     id="removed-key"),
+        pytest.param("[solver]\npc_s = jacobi\n",
+                     r"^\[solver\] pc_s: pc_s must be one of \('ilu0', 'bipn'\)$",
+                     id="removed-choice"),
+        pytest.param("[inflow]\nwaveform = 0:1 0.5:2 0.2:3\n",
+                     r"^\[inflow\] waveform: waveform times must strictly increase$",
+                     id="waveform-order"),
         pytest.param("[inflow]\nwaveform = 0:0 1\n", r"^\[inflow\] waveform: not enough values",
                      id="waveform"),
         pytest.param("[mesh]\nn_r = 3x\n", r"^\[mesh\] n_r: invalid literal", id="mesh-value"),
@@ -278,12 +292,21 @@ class TestConfig:
             parse_config(text)
 
     def test_readme_documents_every_key(self):
-        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-            readme = fh.read()
+        section = _readme_configuration_section()
         keys = {key for table in nbconfig._KEYS.values() for key in table}
+        keys |= set(nbconfig._CASE_KEYS)
         keys |= {key for _, table in nbconfig._OUTLET_KEYS.values() for key in table}
-        assert sorted(k for k in keys if f"`{k}`" not in readme) == []
-        assert sorted(s for s in nbconfig._KEYS if f"`[{s}]`" not in readme) == []
+        assert sorted(k for k in keys if f"`{k}`" not in section) == []
+        assert sorted(s for s in nbconfig._KEYS if f"`[{s}]`" not in section) == []
+
+    def test_curved_wall_as_inflow_surface_rejected(self):
+        # The tube's wall is not planar either; the tag check names it first.
+        cfg = parse_config("[mesh]\nbuiltin = tube\nn_r = 1\nn_theta = 5\nn_z = 2\n"
+                           "[inflow]\nsurface = wall\nflow_rate = 1\n"
+                           "[outlet.outlet]\nR = 1\n")
+        with pytest.raises(MeshError, match="^inflow surface 'wall' is a wall group, "
+                                            "not an inlet group$"):
+            build_system(cfg, build_mesh(cfg.mesh))
 
     @pytest.mark.parametrize("tag", ["wall", "outlet"])
     def test_inflow_surface_must_be_an_inlet_group(self, tag):
@@ -336,10 +359,13 @@ class TestConfig:
                                                                         rel=1e-12, abs=1e-12)
 
     def test_readme_names_every_preconditioner_choice(self):
-        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-            bullet = fh.read().split("\n- `[solver]`:", 1)[1].split("\n- ", 1)[0]
-        choices = {*precond.PRECONDITIONERS, *precond._PC_A, *precond._PC_S}
-        assert sorted(c for c in choices if f"`{c}`" not in bullet) == []
+        # The choices in parentheses after each key, no more and no fewer.
+        bullet = _readme_configuration_section().split("\n- `[solver]`:", 1)[1]
+        bullet = bullet.split("\n- ", 1)[0]
+        for key, table in (("preconditioner", precond.PRECONDITIONERS),
+                           ("pc_a", precond._PC_A), ("pc_s", precond._PC_S)):
+            listed = re.search(rf"`{key}` \(([^)]*)\)", bullet).group(1)
+            assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(table), key
 
     def test_with_resistance(self):
         cfg = parse_config("[outlet.a]\ntype = resistance\nR = 10\n")

@@ -46,6 +46,20 @@ def test_model_validation():
         rk4_advance(WK, 0.0, 0.0, 0.0, 1e-3, 0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Windkessel(R_p=1.0, C=1.0, R_d=0.0), "distal resistance must be positive"),
+    (lambda: Windkessel(R_p=1.0, C=1.0, R_d=math.inf), "distal resistance must be positive"),
+    (lambda: Windkessel(R_p=math.nan, C=1.0, R_d=1.0), "proximal resistance must be non-neg"),
+    (lambda: Windkessel(R_p=1.0, C=math.inf, R_d=1.0), "compliance must be positive and finite"),
+    (lambda: Resistance(R=math.nan), "resistance must be non-negative and finite"),
+    (lambda: Resistance(R=math.inf), "resistance must be non-negative and finite"),
+], ids=["Rd-zero", "Rd-inf", "Rp-nan", "C-inf", "R-nan", "R-inf"])
+def test_model_rejects_value_out_of_range(make, message):
+    # R_d = 0 divided by zero in every step's rcr_rhs; nan and inf were accepted.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make()
+
+
 def test_rk4_decay_matches_exponential():
     # Q = 0: pi decays exactly exponentially; one step over a fraction of
     # the time constant must track it with fourth-order accuracy.

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,26 @@ def test_unknown_node_in_facet(tmp_path):
     path = tmp_path / "bad.msh"
     path.write_text(bad)
     with pytest.raises(MeshError, match="unknown node"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("0 1 0\n", "0 x 0\n", r"node 2: could not convert string to float: 'x'"),
+    ("0 1 2 3\n", "0 1 2 z\n", r"tet 0: invalid literal for int\(\) with base 10: 'z'"),
+    ("surface b wall 1\n0 1 3\n", "surface b wall 1\n0 1.5 3\n",
+     r"facet 0 of 'b': invalid literal for int\(\) with base 10: '1\.5'"),
+    ("surface c wall 1\n", "surface c wall one\n",
+     r"surface 'c' facet count: invalid literal for int\(\) with base 10: 'one'"),
+    ("surface c wall 1\n", "surface c wall -1\n", r"surface 'c' facet count: -1 is negative"),
+    ("nodes 4 tets 1\n", "nodes 4 tets 1e0\n",
+     r"tet count: invalid literal for int\(\) with base 10: '1e0'"),
+    ("nodes 4 tets 1\n", "nodes -4 tets 1\n", r"node count: -4 is negative"),
+], ids=["node", "tet", "facet", "surface-count", "negative-surface-count", "header-count",
+        "negative-header-count"])
+def test_malformed_number_names_file_and_item(tmp_path, old, new, message):
+    path = tmp_path / "bad.msh"
+    path.write_text(REF_TET.replace(old, new, 1))
+    with pytest.raises(MeshError, match=f"^{re.escape(str(path))}: {message}$"):
         load_mesh(path)
 
 
@@ -320,9 +341,16 @@ def test_parabolic_inflow_flux_converges():
 
 
 def test_parabolic_inflow_nonplanar_rejected():
+    # The curved wall of a tube: as an inflow surface it is rejected by its
+    # tag, and tagged as an inlet it is rejected when the mesh is built.
     mesh = tube_mesh(1.0, 2.0, n_r=1, n_theta=6, n_z=2)
-    with pytest.raises(MeshError, match="planar"):
+    with pytest.raises(MeshError, match="^inflow surface 'wall' is a wall group, "
+                                        "not an inlet group$"):
         parabolic_inflow(mesh, "wall", 1.0)
+    groups = [(g.name, "inlet" if g.name == "wall" else g.tag, g.tris)
+              for g in mesh.facet_groups.values()]
+    with pytest.raises(MeshError, match="^inlet group 'wall' is not planar"):
+        Mesh.from_arrays(mesh.nodes, mesh.tets, groups)
 
 
 def test_surface_flow_rate_uniform_normal():

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -354,3 +355,9 @@ def test_step_out_of_iterations_reports_its_returned_state(monkeypatch):
     assert not report.converged and report.iterations == 1
     first, last = report.residual_norms
     assert last > timestep.DIVERGENCE_RATIO * first
+
+
+@pytest.mark.parametrize("name, value", [("tol_rel", math.nan), ("tol_abs", math.inf)])
+def test_newton_settings_reject_non_finite_tolerance(name, value):
+    with pytest.raises(ValueError, match="^tolerances must be non-negative and finite$"):
+        NewtonSettings(**{name: value})
